@@ -15,7 +15,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidSpec, UndefinedFeature
-from .graph import Graph, connected_components, degree_sequence, shortest_path_distances
+# shortest_path_distances is not called here any more; it stays importable from
+# this module because perfbench/spans.py wraps it under this module's name.
+from .graph import (  # noqa: F401
+    Graph,
+    _adjacency_arrays,
+    connected_components,
+    degree_sequence,
+    shortest_path_distances,
+)
 
 FEATURE_TOKENS = (
     "degree_entropy",
@@ -112,19 +120,6 @@ def fit_power_law_mle(g: Graph, d_min: int = DEFAULT_D_MIN) -> float:
     return power_law_mle(degree_sequence(g), d_min)
 
 
-def _dense_adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.node_count, g.node_count))
-    rows: list[int] = []
-    cols: list[int] = []
-    for u in range(g.node_count):
-        for v in g.adjacency[u]:  # both orientations are present in the sets
-            rows.append(u)
-            cols.append(v)
-    if rows:
-        a[rows, cols] = 1.0
-    return a
-
-
 def _negative_inertia(h: np.ndarray) -> int:
     """Negative-eigenvalue count of a symmetric matrix via LDL^T inertia.
 
@@ -157,12 +152,14 @@ def _negative_inertia(h: np.ndarray) -> int:
 
 def bethe_hessian(g: Graph, r: float) -> np.ndarray:
     """H(r) = (r^2 - 1) I - r A + D for the graph's adjacency A and degree D."""
-    a = _dense_adjacency(g)
-    d = a.sum(axis=1)
-    a *= -r
-    idx = np.arange(g.node_count)
-    a[idx, idx] += (r * r - 1.0) + d
-    return a
+    degrees, _, indices = _adjacency_arrays(g)
+    n = g.node_count
+    h = np.zeros((n, n))
+    h[np.repeat(np.arange(n), degrees), indices] = 1.0
+    h *= -r
+    idx = np.arange(n)
+    h[idx, idx] += (r * r - 1.0) + degrees
+    return h
 
 
 def estimate_block_count(g: Graph, k_max: int) -> int:
@@ -190,15 +187,77 @@ def estimate_block_count(g: Graph, k_max: int) -> int:
     return max(1, min(neg, k_max, g.node_count))
 
 
+#: Set bits of each byte value; counts bits on numpy < 2 (no np.bitwise_count).
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+#: Adjacency entries gathered per numpy call in count_triangles and
+#: _eccentricities, which bounds their temporaries to about
+#: 16 * _EDGE_CHUNK * ceil(n / 64) bytes on dense graphs.
+_EDGE_CHUNK = 1 << 14
+
+
+def _pack_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """n x ceil(n / 64) uint64 bitset with bit ``cols[i]`` of row ``rows[i]`` set.
+
+    Packs a dense boolean mask, so it briefly holds about n^2 bytes.
+    """
+    dense = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
+    dense[rows, cols] = True
+    return np.packbits(dense, axis=1, bitorder="little").view(np.uint64)
+
+
 def count_triangles(g: Graph) -> int:
-    """Number of node triples inducing a triangle (each counted once)."""
+    """Number of node triples inducing a triangle (each counted once).
+
+    Sums |N(u) & N(v)| over the edges u < v, as popcounts of the packed
+    adjacency rows; each triangle is seen from its three edges.
+    """
+    degrees, _, indices = _adjacency_arrays(g)
+    n = g.node_count
+    sources = np.repeat(np.arange(n), degrees)
+    bits = _pack_rows(n, sources, indices)
+    upper = sources < indices
+    us, vs = sources[upper], indices[upper]
     total = 0
-    for u in range(g.node_count):
-        adj_u = g.adjacency[u]
-        for v in adj_u:
-            if v > u:
-                total += sum(1 for w in adj_u & g.adjacency[v] if w > v)
-    return total
+    for lo in range(0, len(us), _EDGE_CHUNK):
+        hi = lo + _EDGE_CHUNK
+        common = bits[us[lo:hi]] & bits[vs[lo:hi]]
+        total += int(_POPCOUNT8[common.view(np.uint8)].sum())
+    return total // 3
+
+
+def _eccentricities(g: Graph) -> np.ndarray:
+    """Hop eccentricity of every node within its own connected component.
+
+    Breadth-first search from all sources at once: row v of ``reach`` is the
+    bitset of nodes within ``level`` hops of v, and each level ORs together
+    the rows of v's closed neighbourhood {v} | N(v). Hop distances within a
+    component are contiguous, so a row that stops growing already holds v's
+    whole component, and v's eccentricity is the last level at which its row
+    grew.
+    """
+    _, indptr, indices = _adjacency_arrays(g)
+    n = g.node_count
+    nodes = np.arange(n)
+    # closed neighbourhoods in CSR form (pointer ``ptr``): v first, then N(v)
+    ptr = indptr + np.arange(n + 1)
+    closed = np.insert(indices, indptr[:-1], nodes)
+    # node blocks of about _EDGE_CHUNK closed-neighbourhood entries each
+    cuts = np.unique(np.append(np.searchsorted(ptr, np.arange(0, ptr[-1], _EDGE_CHUNK)), n))
+    reach = _pack_rows(n, nodes, nodes)
+    ecc = np.zeros(n, dtype=np.int64)
+    level = 0
+    while True:
+        grown = np.empty_like(reach)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            grown[lo:hi] = np.bitwise_or.reduceat(
+                reach[closed[ptr[lo]:ptr[hi]]], ptr[lo:hi] - ptr[lo], axis=0)
+        changed = (grown != reach).any(axis=1)
+        if not changed.any():
+            return ecc
+        level += 1
+        ecc[changed] = level
+        reach = grown
 
 
 def diameter(g: Graph) -> int:
@@ -212,21 +271,21 @@ def diameter(g: Graph) -> int:
         raise UndefinedFeature("diameter needs at least one node")
     comps = connected_components(g)
     biggest = max(len(c) for c in comps)
-    best = 0
-    for comp in comps:
-        if len(comp) != biggest:
-            continue
-        for v in comp:
-            dist = shortest_path_distances(g, v)
-            ecc = max(dist[w] for w in comp)
-            if ecc > best:
-                best = ecc
-    return best
+    ecc = _eccentricities(g)
+    return max(int(ecc[comp].max()) for comp in comps if len(comp) == biggest)
 
 
 def count_two_paths(g: Graph) -> int:
     """Number of connected 2-paths (paths on 3 nodes, center counted per pair)."""
     return int(sum(d * (d - 1) // 2 for d in degree_sequence(g)))
+
+
+def link_density(g: Graph) -> float:
+    """|E| / C(n, 2)."""
+    if g.node_count < 2:
+        raise UndefinedFeature("link density needs at least two nodes")
+    n = g.node_count
+    return float(g.edge_count / (n * (n - 1) / 2))
 
 
 def density_and_clustering(g: Graph) -> tuple[float, float]:
@@ -235,13 +294,10 @@ def density_and_clustering(g: Graph) -> tuple[float, float]:
     density = |E| / C(n, 2); clustering = 3 * triangles / #2-paths, defined
     as 0 when the graph has no 2-path.
     """
-    if g.node_count < 2:
-        raise UndefinedFeature("link density needs at least two nodes")
-    n = g.node_count
-    density = g.edge_count / (n * (n - 1) / 2)
+    density = link_density(g)
     paths = count_two_paths(g)
     clustering = 0.0 if paths == 0 else 3.0 * count_triangles(g) / paths
-    return float(density), float(clustering)
+    return density, float(clustering)
 
 
 def extract_feature(g: Graph, kind: FeatureKind):
@@ -261,7 +317,7 @@ def extract_feature(g: Graph, kind: FeatureKind):
     if name == "diameter":
         return diameter(g)
     if name == "link_density":
-        return density_and_clustering(g)[0]
+        return link_density(g)
     if name == "global_clustering":
         if g.node_count < 2:
             raise UndefinedFeature("clustering needs at least two nodes")

@@ -28,6 +28,7 @@ import multiprocessing
 import numpy as np
 
 from .errors import InvalidInput, InvalidSpec
+from .features import count_triangles
 from .graph import Graph, _from_neighbor_lists
 from .seeds import derive_seed
 
@@ -120,12 +121,7 @@ class TriangleCountTerm:
     """f(G) = number of triangles."""
 
     def value(self, g: Graph) -> float:
-        total = 0
-        for u in range(g.node_count):
-            for v in g.adjacency[u]:
-                if v > u:
-                    total += sum(1 for w in g.adjacency[u] & g.adjacency[v] if w > v)
-        return float(total)
+        return float(count_triangles(g))
 
     def delta(self, g: Graph, u: int, v: int) -> float:
         common = len(g.adjacency[u] & g.adjacency[v])

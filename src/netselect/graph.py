@@ -2,14 +2,21 @@
 
 Graphs are immutable after construction; ``toggle_edge`` returns a new graph
 sharing untouched neighbor sets with the original. Neighbor sets are
-frozensets, which keeps membership tests and set intersections (triangle
-counting, edge-toggle proposals) cheap.
+frozensets, which keeps membership tests and set intersections (edge-toggle
+proposals) cheap.
+
+Whole-graph kernels (triangle count, diameter, the Bethe-Hessian) do not walk
+the sets: ``_adjacency_arrays`` flattens them once into CSR-style
+``(degrees, indptr, indices)`` arrays, and ``features`` packs those rows into
+64-bit words so that neighbourhood intersections and unions are word-wise
+AND/OR in numpy.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -101,6 +108,19 @@ def toggle_edge(g: Graph, u: int, v: int) -> Graph:
 def degree_sequence(g: Graph) -> np.ndarray:
     """Degrees indexed by node id; sums to 2 * edge_count."""
     return np.array([len(s) for s in g.adjacency], dtype=np.int64)
+
+
+def _adjacency_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(degrees, indptr, indices): the neighbors of v are indices[indptr[v]:indptr[v + 1]].
+
+    Neighbors within a row are in set-iteration order, not sorted.
+    """
+    degrees = degree_sequence(g)
+    indptr = np.zeros(g.node_count + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64,
+                          count=int(indptr[-1]))
+    return degrees, indptr, indices
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:

@@ -658,7 +658,10 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
     elif zero1:
         posterior_odds = 0.0
     else:
-        posterior_odds = prior_odds * math.exp(log_total1 - log_total2)
+        try:
+            posterior_odds = prior_odds * math.exp(log_total1 - log_total2)
+        except OverflowError:  # the features separate the models by > ~709 nats
+            posterior_odds = math.inf if prior_odds > 0 else 0.0
 
     combined = combined_loss_ratio(loss_pairs)
     return ComparisonReport(

@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from netselect import generate_er, write_edge_list
 from netselect.cli import load_graph_file, main
 
 
@@ -192,6 +194,22 @@ def test_compare_indeterminate_evidence_exit_code(tmp_path):
     assert run_cli(["compare", "--data", data, "--model", m1, "--model2", m2,
                     "--features", "link_density", "--samples", 50,
                     "--seed", 2]) == 3
+
+
+def test_compare_saturates_posterior_odds_beyond_float_range(tmp_path):
+    # The two features together favour model_1 by more than ~709 nats, so
+    # exp(log evidence ratio) overflows a float; the odds saturate to inf.
+    data = tmp_path / "data.tsv"
+    data.write_text(write_edge_list(generate_er(60, 0.8, np.random.default_rng(3))))
+    m1 = write_json(tmp_path / "m1.json", {"type": "er", "n": 60, "p": {"uniform": [0.75, 0.85]}})
+    m2 = write_json(tmp_path / "m2.json", {"type": "er", "n": 60, "p": {"uniform": [0.3, 0.42]}})
+    report_path = tmp_path / "report.json"
+    assert run_cli(["compare", "--data", data, "--model", m1, "--model2", m2,
+                    "--features", "link_density,global_clustering",
+                    "--samples", 200, "--seed", 3, "--out", report_path]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["posterior_odds"] == "inf"
+    assert report["decision"] == "model_1"
 
 
 def test_compare_degenerate_loss_exit_code(tmp_path):

@@ -22,6 +22,7 @@ from netselect import (
     power_law_mle,
     shortest_path_distances,
 )
+from netselect import features
 from netselect.features import bethe_hessian
 
 
@@ -168,6 +169,15 @@ def test_block_count_inertia_matches_eigendecomposition():
         assert _negative_inertia(h) == int(np.sum(np.linalg.eigvalsh(h) < -1e-10))
 
 
+def test_bethe_hessian_matches_definition():
+    rng = np.random.default_rng(10)
+    for n in (1, 7, 65):
+        g = random_graph(n, 0.2, rng)
+        a = np.array([[float(g.has_edge(u, v)) for v in range(n)] for u in range(n)])
+        expected = (1.5 ** 2 - 1.0) * np.eye(n) - 1.5 * a + np.diag(a.sum(axis=1))
+        assert np.array_equal(bethe_hessian(g, 1.5), expected)
+
+
 def test_block_count_never_exceeds_kmax():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -246,6 +256,53 @@ def test_diameter_matches_bfs_oracle_on_connected_graphs():
             continue  # disconnected; covered elsewhere
         assert diameter(g) == max(d for row in dists for d in row)
         done += 1
+
+
+def bfs_diameter(g):
+    """Diameter of the largest component from per-source BFS; ties take the largest."""
+    dists = [shortest_path_distances(g, s) for s in range(g.node_count)]
+    sizes = [sum(d is not None for d in row) for row in dists]
+    biggest = max(sizes)
+    return max(max(d for d in row if d is not None)
+               for row, size in zip(dists, sizes) if size == biggest)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129])
+def test_bitset_kernels_match_oracles_across_word_boundaries(n):
+    rng = np.random.default_rng(n)
+    # the sparse draws leave isolated nodes and several components
+    for p in (0.0, 1.0 / n, 3.0 / n, 0.3):
+        g = random_graph(n, p, rng)
+        assert diameter(g) == bfs_diameter(g)
+        assert count_triangles(g) == brute_force_triangles(g)
+
+
+def test_diameter_tie_takes_largest_of_equal_components():
+    path = [(0, 1), (1, 2), (2, 3)]  # diameter 3
+    star = [(4, 5), (4, 6), (4, 7)]  # diameter 2
+    star_first = [(u - 4, v - 4) for u, v in star] + [(u + 4, v + 4) for u, v in path]
+    for edges in (path + star, star_first):
+        g = build_graph(70, edges)  # nodes 8..69 are isolated
+        assert diameter(g) == 3 == bfs_diameter(g)
+
+
+@pytest.fixture(params=[None, 97])
+def edge_chunk(request, monkeypatch):
+    """The default gather size, then many small gathers."""
+    if request.param is not None:
+        monkeypatch.setattr(features, "_EDGE_CHUNK", request.param)
+
+
+def test_diameter_of_long_path(edge_chunk):
+    order = np.random.default_rng(16).permutation(300)
+    g = build_graph(300, [(int(order[i]), int(order[i + 1])) for i in range(299)])
+    assert diameter(g) == 299 == bfs_diameter(g)
+
+
+def test_bitset_kernels_on_dense_er(edge_chunk):
+    g = generate_er(150, 0.5, np.random.default_rng(17))
+    assert diameter(g) == bfs_diameter(g)
+    assert count_triangles(g) == brute_force_triangles(g)
 
 
 def test_density_and_clustering_examples():
