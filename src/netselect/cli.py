@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -45,6 +44,7 @@ from .inference import (
     DiscretePmf,
     FeatureSamples,
     LossKind,
+    _json_number,
     compare_models,
     estimate_density,
     range_probability,
@@ -168,16 +168,6 @@ def _parse_features(value, config: dict) -> list[FeatureKind]:
     return [FeatureKind.from_json(item) for item in value]
 
 
-def _parse_loss(value, config: dict) -> LossKind:
-    if value is None:
-        value = config.get("loss", "quadratic")
-    if isinstance(value, str):
-        return LossKind(value)
-    if isinstance(value, dict):
-        return LossKind(value["kind"], float(value.get("tolerance", 0.0)))
-    raise InvalidSpec(f"cannot parse loss from {value!r}")
-
-
 def _parse_ranges(values, config: dict) -> list[tuple[FeatureKind, float, float]]:
     if not values:
         values = config.get("ranges")
@@ -221,14 +211,8 @@ def _apply_grid_flags(spec: ModelSpec, grid_flags) -> ModelSpec:
 
 def _ratio_marker(num: float, den: float):
     if den > 0:
-        return _json_num(num / den)
+        return _json_number(num / den)
     return "inf" if num > 0 else None
-
-
-def _json_num(x: float):
-    if math.isinf(x):
-        return "inf"
-    return x
 
 
 # --------------------------------------------------------------------------
@@ -307,7 +291,7 @@ def cmd_compare(args) -> int:
     spec1 = _apply_grid_flags(_load_model_spec(model_src, config), args.grid)
     spec2 = _load_model_spec(model2_src, config)
     kinds = _parse_features(args.features, config)
-    loss = _parse_loss(args.loss, config)
+    loss = LossKind.from_json(_config_get(args, config, "loss", "quadratic"))
     n_samples = int(_config_get(args, config, "samples", DEFAULT_SAMPLES))
     seed = int(_config_get(args, config, "seed", 0))
     workers = int(_config_get(args, config, "threads", 1))

@@ -19,7 +19,8 @@ from .errors import InvalidSpec, UndefinedFeature
 # this module because perfbench/spans.py wraps it under this module's name.
 from .graph import (  # noqa: F401
     Graph,
-    _adjacency_arrays,
+    _closed_neighbourhoods,
+    _edge_arrays,
     connected_components,
     degree_sequence,
     shortest_path_distances,
@@ -152,10 +153,10 @@ def _negative_inertia(h: np.ndarray) -> int:
 
 def bethe_hessian(g: Graph, r: float) -> np.ndarray:
     """H(r) = (r^2 - 1) I - r A + D for the graph's adjacency A and degree D."""
-    degrees, _, indices = _adjacency_arrays(g)
+    degrees = g.degrees
     n = g.node_count
     h = np.zeros((n, n))
-    h[np.repeat(np.arange(n), degrees), indices] = 1.0
+    h[np.repeat(np.arange(n), degrees), g.indices] = 1.0
     h *= -r
     idx = np.arange(n)
     h[idx, idx] += (r * r - 1.0) + degrees
@@ -210,20 +211,20 @@ def count_triangles(g: Graph) -> int:
     """Number of node triples inducing a triangle (each counted once).
 
     Sums |N(u) & N(v)| over the edges u < v, as popcounts of the packed
-    adjacency rows; each triangle is seen from its three edges.
+    adjacency rows; each triangle is seen from its three edges. The count is
+    kept on the graph, so clustering on the same graph does not redo it.
     """
-    degrees, _, indices = _adjacency_arrays(g)
-    n = g.node_count
-    sources = np.repeat(np.arange(n), degrees)
-    bits = _pack_rows(n, sources, indices)
-    upper = sources < indices
-    us, vs = sources[upper], indices[upper]
-    total = 0
-    for lo in range(0, len(us), _EDGE_CHUNK):
-        hi = lo + _EDGE_CHUNK
-        common = bits[us[lo:hi]] & bits[vs[lo:hi]]
-        total += int(_POPCOUNT8[common.view(np.uint8)].sum())
-    return total // 3
+    if g._triangles is None:
+        n = g.node_count
+        bits = _pack_rows(n, np.repeat(np.arange(n), g.degrees), g.indices)
+        us, vs = _edge_arrays(g)
+        total = 0
+        for lo in range(0, len(us), _EDGE_CHUNK):
+            hi = lo + _EDGE_CHUNK
+            common = bits[us[lo:hi]] & bits[vs[lo:hi]]
+            total += int(_POPCOUNT8[common.view(np.uint8)].sum())
+        object.__setattr__(g, "_triangles", total // 3)
+    return g._triangles
 
 
 def _eccentricities(g: Graph) -> np.ndarray:
@@ -236,12 +237,9 @@ def _eccentricities(g: Graph) -> np.ndarray:
     whole component, and v's eccentricity is the last level at which its row
     grew.
     """
-    _, indptr, indices = _adjacency_arrays(g)
     n = g.node_count
     nodes = np.arange(n)
-    # closed neighbourhoods in CSR form (pointer ``ptr``): v first, then N(v)
-    ptr = indptr + np.arange(n + 1)
-    closed = np.insert(indices, indptr[:-1], nodes)
+    ptr, closed = _closed_neighbourhoods(g)
     # node blocks of about _EDGE_CHUNK closed-neighbourhood entries each
     cuts = np.unique(np.append(np.searchsorted(ptr, np.arange(0, ptr[-1], _EDGE_CHUNK)), n))
     reach = _pack_rows(n, nodes, nodes)
@@ -277,7 +275,8 @@ def diameter(g: Graph) -> int:
 
 def count_two_paths(g: Graph) -> int:
     """Number of connected 2-paths (paths on 3 nodes, center counted per pair)."""
-    return int(sum(d * (d - 1) // 2 for d in degree_sequence(g)))
+    d = g.degrees
+    return int((d * (d - 1) // 2).sum())
 
 
 def link_density(g: Graph) -> float:

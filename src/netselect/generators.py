@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 import multiprocessing
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidSpec
 from .features import count_triangles
-from .graph import Graph, _from_neighbor_lists
+from .graph import Graph, _canonical_pairs, _from_pairs
 from .seeds import derive_seed
 
 _PAIR_CHUNK = 1 << 20  # max Bernoulli draws per RNG call when sampling pair sets
@@ -124,7 +125,7 @@ class TriangleCountTerm:
         return float(count_triangles(g))
 
     def delta(self, g: Graph, u: int, v: int) -> float:
-        common = len(g.adjacency[u] & g.adjacency[v])
+        common = g.common_neighbors(u, v)
         return -float(common) if g.has_edge(u, v) else float(common)
 
 
@@ -139,7 +140,7 @@ class DegreeCountTerm:
             raise InvalidSpec("degree target must be non-negative")
 
     def value(self, g: Graph) -> float:
-        return float(sum(1 for s in g.adjacency if len(s) == self.degree))
+        return float(np.count_nonzero(g.degrees == self.degree))
 
     def delta(self, g: Graph, u: int, v: int) -> float:
         step = -1 if g.has_edge(u, v) else 1
@@ -465,52 +466,53 @@ def _row_chunks(n: int, chunk_pairs: int) -> Iterator[list[int]]:
 
 
 _PAIR_INDEX_CACHE: dict = {}
+_PAIR_PROB_CACHE: dict = {}
+
+
+def _remember(cache: dict, key, value):
+    if len(cache) > 8:  # keep the caches tiny
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major strict upper-triangle indices, cached for reuse across draws."""
     cached = _PAIR_INDEX_CACHE.get(n)
     if cached is None:
-        cached = np.triu_indices(n, 1)
-        if len(_PAIR_INDEX_CACHE) > 8:  # keep the cache tiny
-            _PAIR_INDEX_CACHE.clear()
-        _PAIR_INDEX_CACHE[n] = cached
+        cached = _remember(_PAIR_INDEX_CACHE, n, np.triu_indices(n, 1))
     return cached
 
 
-def _graph_from_pair_mask(n: int, iu: np.ndarray, ju: np.ndarray,
-                          mask: np.ndarray) -> Graph:
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(iu[mask].tolist(), ju[mask].tolist()):
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    return _from_neighbor_lists(n, neighbors)
-
-
-def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator) -> Graph:
+def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator,
+                       cache_key=None) -> Graph:
     """Draw each unordered pair independently.
 
     ``pair_probs(iu, ju)`` returns the per-pair probabilities (scalar or
     array) for row-major upper-triangle index arrays. Pairs are consumed in
     row-major order in bounded chunks, so draws depend only on (n, rng state).
+    A ``cache_key`` says that ``pair_probs`` is fixed: its probabilities over
+    all pairs are then computed once per key and reused by later draws.
     """
     total_pairs = n * (n - 1) // 2
-    if total_pairs == 0:
-        return _from_neighbor_lists(n, [[] for _ in range(n)])
     if total_pairs <= _PAIR_CHUNK:
         iu, ju = _pair_indices(n)
-        mask = rng.random(total_pairs) < pair_probs(iu, ju)
-        return _graph_from_pair_mask(n, iu, ju, mask)
+        probs = _PAIR_PROB_CACHE.get(cache_key) if cache_key is not None else None
+        if probs is None:
+            probs = pair_probs(iu, ju)
+            if cache_key is not None:
+                _remember(_PAIR_PROB_CACHE, cache_key, probs)
+        hits = np.flatnonzero(rng.random(total_pairs) < probs)
+        return _from_pairs(n, iu[hits], ju[hits])
     # large n: bounded memory, same row-major consumption order
-    neighbors: list[list[int]] = [[] for _ in range(n)]
+    los, his = [], []
     for rows in _row_chunks(n, _PAIR_CHUNK):
         iu = np.concatenate([np.full(n - 1 - u, u, dtype=np.int64) for u in rows])
         ju = np.concatenate([np.arange(u + 1, n, dtype=np.int64) for u in rows])
         mask = rng.random(len(iu)) < pair_probs(iu, ju)
-        for u, v in zip(iu[mask].tolist(), ju[mask].tolist()):
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-    return _from_neighbor_lists(n, neighbors)
+        los.append(iu[mask])
+        his.append(ju[mask])
+    return _from_pairs(n, np.concatenate(los), np.concatenate(his))
 
 
 def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -522,17 +524,23 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
 
 
 def generate_sbm(n: int, k: int, membership: Sequence[int], edge_probs,
-                 rng: np.random.Generator) -> Graph:
-    """Block-model draw: pair (u, v) is an edge w.p. edge_probs[z_u][z_v]."""
+                 rng: np.random.Generator, cache_key=None) -> Graph:
+    """Block-model draw: pair (u, v) is an edge w.p. edge_probs[z_u][z_v].
+
+    Draws that pass the same ``cache_key`` must pass the same membership and
+    edge_probs; they share one pair-probability vector, and the arguments are
+    checked only while the key is not cached.
+    """
     _check_n(n)
     mat = np.asarray(edge_probs, dtype=float)
-    _validate_edge_probs(mat, k)
     z = np.asarray(membership, dtype=np.int64)
-    if z.shape != (n,):
-        raise InvalidSpec(f"membership must have length {n}")
-    if z.min() < 0 or z.max() >= k:
-        raise InvalidSpec("membership labels must lie in [0, K)")
-    return _sample_pair_graph(n, lambda iu, ju: mat[z[iu], z[ju]], rng)
+    if cache_key not in _PAIR_PROB_CACHE:
+        _validate_edge_probs(mat, k)
+        if z.shape != (n,):
+            raise InvalidSpec(f"membership must have length {n}")
+        if z.min() < 0 or z.max() >= k:
+            raise InvalidSpec("membership labels must lie in [0, K)")
+    return _sample_pair_graph(n, lambda iu, ju: mat[z[iu], z[ju]], rng, cache_key)
 
 
 def equal_blocks(n: int, k: int) -> np.ndarray:
@@ -576,14 +584,7 @@ def generate_from_degrees(degrees: Sequence[int], rng: np.random.Generator) -> G
         raise InvalidSpec("degree sum must be even")
     stubs = np.repeat(np.arange(n), degrees)
     rng.shuffle(stubs)
-    a = stubs[0::2]
-    b = stubs[1::2]
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for u, v in zip(a.tolist(), b.tolist()):
-        if u != v:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-    return _from_neighbor_lists(n, [sorted(s) for s in neighbors])
+    return _from_pairs(n, *_canonical_pairs(n, stubs[0::2], stubs[1::2]))
 
 
 def default_burn_in(n: int) -> int:
@@ -621,12 +622,12 @@ def mh_loglinear_sample(spec: LogLinear, count: int, burn_in: Optional[int] = No
     if burn_in < 0 or thin < 1:
         raise InvalidInput("burn_in must be >= 0 and thin >= 1")
     if n < 2:
-        return [_from_neighbor_lists(n, [[]]) for _ in range(count)]
+        return [_snapshot([set() for _ in range(n)])] * count
 
     pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
     m = len(pairs)
     adj: list[set[int]] = [set() for _ in range(n)]
-    view = _AdjView(n, adj)
+    view = _AdjView(adj)
     strength = spec.strength
     terms = spec.terms
 
@@ -657,31 +658,38 @@ def mh_loglinear_sample(spec: LogLinear, count: int, burn_in: Optional[int] = No
                         adj[v].add(u)
             step += 1
             if step == next_snapshot:
-                out.append(_from_neighbor_lists(n, [sorted(s) for s in adj]))
+                out.append(_snapshot(adj))
                 next_snapshot += thin
                 if len(out) == count:
                     return out
     return out
 
 
+def _snapshot(adj: list[set[int]]) -> Graph:
+    """The graph whose neighbour sets are ``adj``."""
+    n = len(adj)
+    src = np.repeat(np.arange(n), [len(s) for s in adj])
+    dst = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=len(src))
+    return _from_pairs(n, *_canonical_pairs(n, src, dst))
+
+
 class _AdjView:
-    """Read-only Graph-shaped view over the sampler's mutable adjacency."""
+    """Read-only Graph-shaped view over the sampler's mutable neighbour sets,
+    answering the queries the concordance terms' ``delta`` makes."""
 
-    __slots__ = ("node_count", "adjacency")
+    __slots__ = ("sets",)
 
-    def __init__(self, node_count: int, adjacency: list[set[int]]):
-        self.node_count = node_count
-        self.adjacency = adjacency
+    def __init__(self, sets: list[set[int]]):
+        self.sets = sets
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return v in self.sets[u]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.sets[v])
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.adjacency) // 2
+    def common_neighbors(self, u: int, v: int) -> int:
+        return len(self.sets[u] & self.sets[v])
 
 
 def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:
@@ -692,11 +700,14 @@ def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:
         k = spec.k if isinstance(spec.k, int) else int(round(sample_parameter(spec.k, rng)))
         if k < 1:
             raise InvalidSpec(f"sampled block count {k} < 1")
+        # a fixed membership fixes the pair probabilities for this k
+        cache_key = (spec, k)
         if isinstance(spec.membership, tuple):
             z = np.asarray(spec.membership, dtype=np.int64)
         elif isinstance(spec.membership, DirichletMembership):
             props = rng.dirichlet(np.full(k, spec.membership.alpha))
             z = rng.choice(k, size=spec.n, p=props)
+            cache_key = None
         else:
             z = equal_blocks(spec.n, k)
         if spec.edge_probs is not None:
@@ -704,7 +715,7 @@ def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:
         else:
             mat = np.full((k, k), spec.p_out, dtype=float)
             np.fill_diagonal(mat, spec.p_in)
-        return generate_sbm(spec.n, k, z, mat, rng)
+        return generate_sbm(spec.n, k, z, mat, rng, cache_key)
     if isinstance(spec, PowerLaw):
         alpha = sample_parameter(spec.alpha, rng)
         degrees = sample_powerlaw_degrees(spec.n, alpha, spec.d_min, rng)

@@ -10,6 +10,7 @@ and consensus merging of per-shard draws live here too.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -22,6 +23,7 @@ from .errors import (
     InvalidInput,
     InvalidSpec,
     UndefinedBayesFactor,
+    UndefinedFeature,
     UndefinedPosterior,
 )
 from .features import BLOCK_COUNT_METHOD, FeatureKind, extract_feature
@@ -32,6 +34,7 @@ from .generators import (
     PointPrior,
     PowerLaw,
     Sbm,
+    model_spec_to_json,
     pool_map,
     sample_graph,
     split_ranges,
@@ -221,6 +224,15 @@ class LossKind:
         if self.tolerance < 0:
             raise InvalidSpec("tolerance must be non-negative")
 
+    @classmethod
+    def from_json(cls, obj) -> "LossKind":
+        """A loss from its kind token or a {"kind", "tolerance"} object."""
+        if isinstance(obj, str):
+            return cls(obj)
+        if isinstance(obj, dict):
+            return cls(obj["kind"], float(obj.get("tolerance", 0.0)))
+        raise InvalidSpec(f"cannot parse loss from {obj!r}")
+
     def apply(self, simulated: np.ndarray, observed: float) -> np.ndarray:
         diff = np.asarray(simulated, dtype=float) - float(observed)
         if self.kind == "quadratic":
@@ -282,11 +294,20 @@ def range_probability(samples: FeatureSamples, lo: float, hi: float) -> tuple[fl
 # --------------------------------------------------------------------------
 
 def _feature_chunk(spec: ModelSpec, kinds: tuple[FeatureKind, ...],
-                   seeds: tuple[int, ...]) -> list[list[float]]:
+                   seeds: tuple[int, ...], first: int = 0) -> list[list[float]]:
+    """Feature rows of the draws from ``seeds``, which are samples first, first + 1, ...
+
+    An undefined feature names the model, sample index and seed of its draw.
+    """
     rows = []
-    for seed in seeds:
+    for index, seed in enumerate(seeds, start=first):
         g = sample_graph(spec, np.random.default_rng(seed))
-        rows.append([float(extract_feature(g, kind)) for kind in kinds])
+        try:
+            rows.append([float(extract_feature(g, kind)) for kind in kinds])
+        except UndefinedFeature as exc:
+            raise UndefinedFeature(
+                f"{exc} (model {json.dumps(model_spec_to_json(spec))}, "
+                f"sample {index}, seed {seed})") from None
     return rows
 
 
@@ -308,7 +329,7 @@ def simulate_feature_matrix(spec: ModelSpec, kinds: Sequence[FeatureKind],
         seeds = [derive_seed(master_seed, i) for i in range(n_samples)]
     elif len(seeds) != n_samples:
         raise InvalidInput("seeds must match n_samples")
-    jobs = [(spec, kinds, tuple(seeds[lo:hi]))
+    jobs = [(spec, kinds, tuple(seeds[lo:hi]), lo)
             for lo, hi in split_ranges(n_samples, max(1, workers) * 4)]
     rows: list[list[float]] = []
     for chunk in pool_map(_feature_chunk, jobs, workers):
@@ -406,19 +427,6 @@ def grid_feature_matrices(spec: ModelSpec, kinds: Sequence[FeatureKind],
     return param, grid, matrices
 
 
-def grid_feature_samples(spec: ModelSpec, kind: FeatureKind, n_per_point: int,
-                         master_seed: int, workers: int = 1
-                         ) -> tuple[str, GridPrior, list[FeatureSamples]]:
-    """One-kind convenience wrapper around ``grid_feature_matrices``."""
-    param, grid, matrices = grid_feature_matrices(spec, [kind], n_per_point,
-                                                  master_seed, workers)
-    ensembles = [
-        FeatureSamples(kind, matrix[kind], model_id=f"{param}={value:g}")
-        for value, matrix in zip(grid.values, matrices)
-    ]
-    return param, grid, ensembles
-
-
 def param_posterior(observed: float, kind: FeatureKind, spec: ModelSpec,
                     n_per_point: int, master_seed: int, workers: int = 1,
                     pseudo_count: float = DEFAULT_PSEUDO_COUNT) -> ParamPosterior:
@@ -430,9 +438,10 @@ def param_posterior(observed: float, kind: FeatureKind, spec: ModelSpec,
     """
     if n_per_point < 1:
         raise InvalidInput(f"n_per_point must be >= 1, got {n_per_point}")
-    param, grid, ensembles = grid_feature_samples(spec, kind, n_per_point,
+    param, grid, matrices = grid_feature_matrices(spec, [kind], n_per_point,
                                                   master_seed, workers)
-    evidences = [evidence(estimate_density(s, pseudo_count), observed) for s in ensembles]
+    evidences = [evidence(estimate_density(FeatureSamples(kind, m[kind]), pseudo_count),
+                          observed) for m in matrices]
     return _posterior_from_evidences([param] * len(grid.values), grid.values,
                                      grid.weights, evidences)
 

@@ -113,7 +113,7 @@ def parse_study_config(obj: dict) -> StudyConfig:
                 data_id=r["data"]["id"],
                 data_spec=parse_model_spec(r["data"]["spec"]),
                 features=tuple(FeatureKind.from_json(f) for f in r["features"]),
-                losses=tuple(_parse_loss(l) for l in r.get("losses", ["quadratic"])),
+                losses=tuple(LossKind.from_json(l) for l in r.get("losses", ["quadratic"])),
             )
             for r in obj["rows"]
         )
@@ -144,14 +144,6 @@ def study_config_to_json(config: StudyConfig) -> dict:
             for r in config.rows
         ],
     }
-
-
-def _parse_loss(obj) -> LossKind:
-    if isinstance(obj, str):
-        return LossKind(obj)
-    if isinstance(obj, dict):
-        return LossKind(obj["kind"], float(obj.get("tolerance", 0.0)))
-    raise InvalidSpec(f"cannot parse loss from {obj!r}")
 
 
 def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from netselect import generate_er, write_edge_list
+from netselect import derive_seed, generate_er, parse_model_spec, sample_graph, write_edge_list
 from netselect.cli import load_graph_file, main
 
 
@@ -210,6 +210,28 @@ def test_compare_saturates_posterior_odds_beyond_float_range(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["posterior_odds"] == "inf"
     assert report["decision"] == "model_1"
+
+
+def test_compare_names_the_draw_with_an_undefined_feature(tmp_path, capsys):
+    # Sparse ER draws often have no node of degree >= 4, so the power-law
+    # fit with d_min=4 is undefined for them; the error names the first one.
+    spec = {"type": "er", "n": 30, "p": {"uniform": [0.03, 0.3]}}
+    first = next(i for i in range(100) if sample_graph(
+        parse_model_spec(spec), np.random.default_rng(derive_seed(5, i))
+    ).degrees.max() < 4)
+    assert first > 0  # the failing draw is not simply the first one
+    data = make_data_graph(tmp_path, {"type": "er", "n": 30, "p": 0.5})
+    model = write_json(tmp_path / "sparse.json", spec)
+    config = write_json(tmp_path / "config.json", {
+        "features": [{"kind": "power_law_exponent", "d_min": 4}]})
+    for threads in (1, 2):
+        assert run_cli(["compare", "--config", config, "--data", data,
+                        "--model", model, "--model2", model, "--samples", 100,
+                        "--seed", 5, "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert "no value reaches d_min=4" in err
+        assert f"sample {first}, seed {derive_seed(5, first)})" in err
+        assert '"type": "er"' in err
 
 
 def test_compare_degenerate_loss_exit_code(tmp_path):
