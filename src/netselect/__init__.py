@@ -53,7 +53,6 @@ from .generators import (
     model_spec_to_json,
     parse_model_spec,
     parse_prior,
-    prior_predictive,
     prior_to_json,
     sample_graph,
     sample_parameter,
@@ -91,14 +90,15 @@ from .inference import (
     param_posterior,
     pool_posteriors,
     posterior_model_probs,
+    prior_predictive,
     range_probability,
     report_features_csv,
     report_from_json,
     report_to_json,
     shard_cells,
     silverman_bandwidth,
+    simulate_feature_matrices,
     simulate_feature_matrix,
-    simulate_feature_samples,
 )
 from .seeds import derive_seed, spawn_rng
 from .study import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -32,24 +33,21 @@ from .errors import (
     UndefinedPosterior,
 )
 from .features import FeatureKind, extract_feature
-from .generators import (
-    GridPrior,
-    ModelSpec,
-    parse_model_spec,
-    prior_predictive,
-    model_spec_to_json,
-)
+from .generators import GridPrior, ModelSpec, model_spec_to_json, parse_model_spec
 from .graph import Graph, build_graph, read_edge_list, write_edge_list
-from .inference import (
+# simulate_feature_matrix stays importable here for perfbench/spans.py to wrap.
+from .inference import (  # noqa: F401
     DiscretePmf,
     FeatureSamples,
     LossKind,
     _json_number,
     compare_models,
     estimate_density,
+    prior_predictive,
     range_probability,
     report_features_csv,
     report_to_json,
+    simulate_feature_matrices,
     simulate_feature_matrix,
 )
 from .seeds import derive_seed
@@ -66,16 +64,35 @@ _INDETERMINATE_ERRORS = (UndefinedBayesFactor, UndefinedPosterior, DegenerateRat
 # Shared helpers
 # --------------------------------------------------------------------------
 
-def _load_json(path: str) -> dict:
+#: The types each config key may take (a bool is never accepted).
+_CONFIG_TYPES = {
+    "model": (str, dict), "model2": (str, dict), "models": list, "data": str,
+    "features": (str, list), "ranges": list, "loss": (str, dict),
+    "samples": int, "seed": int, "threads": int, "model_priors": list,
+    "format": str, "out": str, "plot_data": str,
+}
+
+
+def _load_json(path: Optional[str]) -> dict:
+    """The JSON object in ``path`` ({} without a path), its config keys type-checked."""
+    if not path:
+        return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise InvalidSpec(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    for key, types in _CONFIG_TYPES.items():
+        value = obj.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+            raise InvalidSpec(f"config {key!r} has the wrong type: {value!r}")
+    return obj
 
 
 def _config_get(args, config: dict, key: str, default=None):
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
+    if value is None:
+        value = config.get(key)
+    return default if value is None else value
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -90,13 +107,12 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _load_model_spec(source, config: dict) -> ModelSpec:
+def _load_model_spec(source) -> ModelSpec:
     """Model spec from a file path (CLI) or an inline JSON object (config)."""
-    if isinstance(source, str):
-        return parse_model_spec(_load_json(source))
-    if isinstance(source, dict):
-        return parse_model_spec(source)
-    raise InvalidSpec(f"cannot load a model spec from {source!r}")
+    try:
+        return parse_model_spec(_load_json(source) if isinstance(source, str) else source)
+    except (TypeError, OverflowError) as exc:
+        raise InvalidSpec(f"malformed model spec {source!r}: {exc}") from None
 
 
 def _model_label(source, fallback: str) -> str:
@@ -175,14 +191,16 @@ def _parse_ranges(values, config: dict) -> list[tuple[FeatureKind, float, float]
         raise InvalidSpec("no ranges given (use --range feature:lo:hi)")
     out = []
     for item in values:
-        if isinstance(item, str):
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise InvalidSpec(f"range must be feature:lo:hi, got {item!r}")
-            kind, lo, hi = FeatureKind(parts[0]), float(parts[1]), float(parts[2])
+        if isinstance(item, str) and item.count(":") == 2:
+            feature, lo, hi = item.split(":")
+        elif isinstance(item, dict):
+            feature, lo, hi = item.get("feature", item.get("kind")), item.get("lo"), item.get("hi")
         else:
-            kind = FeatureKind.from_json(item.get("feature", item.get("kind")))
-            lo, hi = float(item["lo"]), float(item["hi"])
+            raise InvalidSpec(f"range must be feature:lo:hi or an object, got {item!r}")
+        try:
+            kind, lo, hi = FeatureKind.from_json(feature), float(lo), float(hi)
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"cannot parse range {item!r}") from None
         if lo > hi:
             raise InvalidSpec(f"range needs lo <= hi, got [{lo}, {hi}]")
         out.append((kind, lo, hi))
@@ -220,11 +238,11 @@ def _ratio_marker(num: float, den: float):
 # --------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    config = _load_json(args.config) if args.config else {}
+    config = _load_json(args.config)
     model_src = _config_get(args, config, "model")
     if model_src is None:
         raise InvalidSpec("generate needs --model")
-    spec = _apply_grid_flags(_load_model_spec(model_src, config), args.grid)
+    spec = _apply_grid_flags(_load_model_spec(model_src), args.grid)
     n_samples = int(_config_get(args, config, "samples", DEFAULT_SAMPLES))
     seed = int(_config_get(args, config, "seed", 0))
     workers = int(_config_get(args, config, "threads", 1))
@@ -252,7 +270,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_features(args) -> int:
-    config = _load_json(args.config) if args.config else {}
+    config = _load_json(args.config)
     data_path = _config_get(args, config, "data")
     if data_path is None:
         raise InvalidSpec("features needs --data")
@@ -281,21 +299,24 @@ def cmd_features(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load_json(args.config) if args.config else {}
+    config = _load_json(args.config)
     data_path = _config_get(args, config, "data")
     model_src = _config_get(args, config, "model")
     model2_src = _config_get(args, config, "model2")
     if data_path is None or model_src is None or model2_src is None:
         raise InvalidSpec("compare needs --data, --model and --model2")
     graph = load_graph_file(data_path)
-    spec1 = _apply_grid_flags(_load_model_spec(model_src, config), args.grid)
-    spec2 = _load_model_spec(model2_src, config)
+    spec1 = _apply_grid_flags(_load_model_spec(model_src), args.grid)
+    spec2 = _load_model_spec(model2_src)
     kinds = _parse_features(args.features, config)
     loss = LossKind.from_json(_config_get(args, config, "loss", "quadratic"))
     n_samples = int(_config_get(args, config, "samples", DEFAULT_SAMPLES))
     seed = int(_config_get(args, config, "seed", 0))
     workers = int(_config_get(args, config, "threads", 1))
-    priors = config.get("model_priors", (0.5, 0.5))
+    priors = config.get("model_priors", [0.5, 0.5])
+    if len(priors) != 2 or not all(type(p) in (int, float) and 0 <= p < math.inf
+                                   for p in priors):
+        raise InvalidSpec(f"model_priors must be two non-negative numbers, got {priors!r}")
 
     report = compare_models(
         graph, spec1, spec2, kinds, loss, n_samples, seed, workers=workers,
@@ -310,17 +331,14 @@ def cmd_compare(args) -> int:
 
     plot_dir = _config_get(args, config, "plot_data")
     if plot_dir is not None:
-        _write_plot_data(plot_dir, graph, (spec1, spec2), report, kinds,
-                         n_samples, seed, workers)
+        _write_plot_data(plot_dir, report, kinds)
     return 0
 
 
-def _write_plot_data(plot_dir: str, graph: Graph, specs, report, kinds,
-                     n_samples: int, seed: int, workers: int) -> None:
+def _write_plot_data(plot_dir: str, report, kinds) -> None:
     """Density and histogram CSVs per (feature, model) for offline plotting."""
     os.makedirs(plot_dir, exist_ok=True)
-    for spec, model_id in zip(specs, (report.model_1, report.model_2)):
-        matrix = simulate_feature_matrix(spec, kinds, n_samples, seed, workers)
+    for matrix, model_id in zip(report.matrices, (report.model_1, report.model_2)):
         for kind in kinds:
             samples = FeatureSamples(kind, matrix[kind], model_id=model_id)
             density = estimate_density(samples)
@@ -347,16 +365,10 @@ def _write_plot_data(plot_dir: str, graph: Graph, specs, report, kinds,
 
 
 def cmd_elicit(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    sources = []
-    model_src = _config_get(args, config, "model")
-    model2_src = _config_get(args, config, "model2")
-    if model_src is not None:
-        sources.append(model_src)
-    if model2_src is not None:
-        sources.append(model2_src)
-    for extra in config.get("models", []):
-        sources.append(extra)
+    config = _load_json(args.config)
+    sources = [src for src in (_config_get(args, config, "model"),
+                               _config_get(args, config, "model2")) if src is not None]
+    sources += _config_get(args, config, "models", [])
     if not sources:
         raise InvalidSpec("elicit needs at least one model spec")
     ranges = _parse_ranges(args.range, config)
@@ -364,21 +376,17 @@ def cmd_elicit(args) -> int:
     seed = int(_config_get(args, config, "seed", 0))
     workers = int(_config_get(args, config, "threads", 1))
 
-    ids = []
-    specs = []
-    for i, src in enumerate(sources):
-        ids.append(_model_label(src, f"model_{i + 1}"))
-        specs.append(_apply_grid_flags(_load_model_spec(src, config),
-                                       args.grid if i == 0 else None))
+    ids = [_model_label(src, f"model_{i + 1}") for i, src in enumerate(sources)]
+    specs = [_apply_grid_flags(_load_model_spec(src), args.grid if i == 0 else None)
+             for i, src in enumerate(sources)]
 
     kinds = sorted({kind for kind, _, _ in ranges}, key=lambda k: k.name)
-    per_model = {}
-    for model_id, spec in zip(ids, specs):
-        matrix = simulate_feature_matrix(spec, kinds, n_samples, seed, workers)
-        per_model[model_id] = {
-            kind: FeatureSamples(kind, matrix[kind], model_id=model_id)
-            for kind in kinds
-        }
+    matrices = simulate_feature_matrices(specs, kinds, n_samples, seed, workers)
+    per_model = {
+        model_id: {kind: FeatureSamples(kind, matrix[kind], model_id=model_id)
+                   for kind in kinds}
+        for model_id, matrix in zip(ids, matrices)
+    }
 
     range_rows = []
     for kind, lo, hi in ranges:
@@ -420,8 +428,7 @@ def cmd_simulate(args) -> int:
     if args.samples is not None:
         config_obj["n_samples"] = args.samples
     study = study_mod.parse_study_config(config_obj)
-    workers = int(args.threads if args.threads is not None
-                  else config_obj.get("threads", 1))
+    workers = _config_get(args, config_obj, "threads", 1)
     results = study_mod.run_study(study, workers=workers)
     fmt = args.format if args.format is not None else "csv"
     if fmt == "json":

@@ -81,9 +81,12 @@ class FeatureKind:
         if isinstance(obj, str):
             return cls(obj)
         if isinstance(obj, dict) and "kind" in obj:
-            return cls(obj["kind"],
-                       d_min=int(obj.get("d_min", DEFAULT_D_MIN)),
-                       k_max=int(obj.get("k_max", DEFAULT_K_MAX)))
+            try:
+                return cls(obj["kind"],
+                           d_min=int(obj.get("d_min", DEFAULT_D_MIN)),
+                           k_max=int(obj.get("k_max", DEFAULT_K_MAX)))
+            except (TypeError, ValueError):
+                raise InvalidSpec(f"cannot parse feature kind from {obj!r}") from None
         raise InvalidSpec(f"cannot parse feature kind from {obj!r}")
 
 

@@ -13,25 +13,23 @@ Supported model families:
   single edge toggles.
 
 Parameters may carry priors (point mass, uniform range, or weighted grid);
-``prior_predictive`` first draws parameters, then a graph, with one derived
-seed per sample so results do not depend on evaluation order or parallelism.
+``sample_graph`` makes one prior-predictive draw from one random generator:
+first the parameters, then a graph. Ensembles of draws (one derived seed per
+sample, scheduled over worker processes) are made in ``inference``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
-import multiprocessing
 import numpy as np
 
 from .errors import InvalidInput, InvalidSpec
 from .features import count_triangles
 from .graph import Graph, _canonical_pairs, _from_pairs
-from .seeds import derive_seed
 
 _PAIR_CHUNK = 1 << 20  # max Bernoulli draws per RNG call when sampling pair sets
 
@@ -723,46 +721,3 @@ def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:
     if isinstance(spec, LogLinear):
         return mh_loglinear_sample(spec, count=1, rng=rng)[0]
     raise InvalidSpec(f"unknown model spec {spec!r}")
-
-
-def _predictive_chunk(spec: ModelSpec, master_seed: int, lo: int, hi: int) -> list[Graph]:
-    return [sample_graph(spec, np.random.default_rng(derive_seed(master_seed, i)))
-            for i in range(lo, hi)]
-
-
-def split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    """Split range(n) into at most ``parts`` contiguous (lo, hi) chunks."""
-    parts = max(1, min(parts, n))
-    step = -(-n // parts)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def pool_map(fn, jobs: list[tuple], workers: int) -> list:
-    """Order-preserving map, optionally over a process pool."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
-        return [f.result() for f in futures]
-
-
-def prior_predictive(spec: ModelSpec, n_samples: int, master_seed: int,
-                     workers: int = 1) -> list[Graph]:
-    """Draw ``n_samples`` independent prior-predictive graphs.
-
-    Sample i uses the seed derived from (master_seed, i), so the output is a
-    pure function of (spec, n_samples, master_seed) no matter how the work is
-    scheduled.
-    """
-    if n_samples < 1:
-        raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
-    jobs = [(spec, master_seed, lo, hi)
-            for lo, hi in split_ranges(n_samples, max(1, workers) * 4)]
-    out: list[Graph] = []
-    for chunk in pool_map(_predictive_chunk, jobs, workers):
-        out.extend(chunk)
-    return out

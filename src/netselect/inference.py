@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain, islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -35,9 +38,7 @@ from .generators import (
     PowerLaw,
     Sbm,
     model_spec_to_json,
-    pool_map,
     sample_graph,
-    split_ranges,
 )
 from .graph import Graph, induced_subgraph
 from .seeds import derive_seed
@@ -290,60 +291,101 @@ def range_probability(samples: FeatureSamples, lo: float, hi: float) -> tuple[fl
 
 
 # --------------------------------------------------------------------------
-# Simulation plumbing: graphs -> feature value arrays
+# Simulation plumbing: seeds -> graphs -> feature rows, one pool per call
 # --------------------------------------------------------------------------
 
-def _feature_chunk(spec: ModelSpec, kinds: tuple[FeatureKind, ...],
-                   seeds: tuple[int, ...], first: int = 0) -> list[list[float]]:
-    """Feature rows of the draws from ``seeds``, which are samples first, first + 1, ...
+def pool_map(fn, jobs: list[tuple], workers: int) -> list:
+    """Order-preserving map, optionally over a process pool."""
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(*job) for job in jobs]
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        ctx = multiprocessing.get_context()
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        return [f.result() for f in futures]
+
+
+def _draw_chunk(spec: ModelSpec, kinds: Optional[tuple[FeatureKind, ...]],
+                seeds: tuple[int, ...], first: int) -> list:
+    """The draws from ``seeds``, which are samples first, first + 1, ...:
+    graphs when ``kinds`` is None, else one feature row per graph.
 
     An undefined feature names the model, sample index and seed of its draw.
     """
-    rows = []
+    out = []
     for index, seed in enumerate(seeds, start=first):
         g = sample_graph(spec, np.random.default_rng(seed))
+        if kinds is None:
+            out.append(g)
+            continue
         try:
-            rows.append([float(extract_feature(g, kind)) for kind in kinds])
+            out.append([float(extract_feature(g, kind)) for kind in kinds])
         except UndefinedFeature as exc:
             raise UndefinedFeature(
                 f"{exc} (model {json.dumps(model_spec_to_json(spec))}, "
                 f"sample {index}, seed {seed})") from None
-    return rows
+    return out
+
+
+def _simulate(specs: Sequence[ModelSpec], seeds: Sequence[tuple[int, ...]],
+              kinds: Optional[tuple[FeatureKind, ...]], workers: int) -> list:
+    """Per spec, its draws from its seed tuple, all made in one ``pool_map``
+    call: a list of graphs when ``kinds`` is None, else a dict kind->values.
+
+    The jobs are (spec, sample-chunk) pairs, about ``4 * workers`` in all and
+    at least one per spec. Each draw depends only on its (spec, seed), so the
+    output does not depend on ``workers``.
+    """
+    chunks_per_spec = -(-max(1, workers) * 4 // len(specs))
+    jobs = []
+    for spec, stream in zip(specs, seeds):
+        step = -(-len(stream) // chunks_per_spec)
+        jobs += [(spec, kinds, stream[lo:lo + step], lo) for lo in range(0, len(stream), step)]
+    draws = chain.from_iterable(pool_map(_draw_chunk, jobs, workers))
+    out = [list(islice(draws, len(stream))) for stream in seeds]
+    if kinds is None:
+        return out
+    return [dict(zip(kinds, np.asarray(rows, dtype=float).T)) for rows in out]
+
+
+def _seed_stream(master_seed: int, n_samples: int) -> tuple[int, ...]:
+    if n_samples < 1:
+        raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
+    return tuple(derive_seed(master_seed, i) for i in range(n_samples))
+
+
+def prior_predictive(spec: ModelSpec, n_samples: int, master_seed: int,
+                     workers: int = 1) -> list[Graph]:
+    """Draw ``n_samples`` independent prior-predictive graphs.
+
+    Sample i uses the seed derived from (master_seed, i), so the output is a
+    pure function of (spec, n_samples, master_seed) no matter how the work is
+    scheduled.
+    """
+    return _simulate([spec], [_seed_stream(master_seed, n_samples)], None, workers)[0]
+
+
+def simulate_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKind],
+                              n_samples: int, master_seed: int,
+                              workers: int = 1) -> list[dict]:
+    """Per spec, per-kind feature arrays over its prior-predictive ensemble.
+
+    Sample i of every spec is generated from seed derive_seed(master_seed, i)
+    (common random numbers across specs), and every requested kind is
+    extracted from the same graph, so kinds are jointly sampled. Output is
+    independent of ``workers``.
+    """
+    seeds = _seed_stream(master_seed, n_samples)
+    return _simulate(specs, [seeds] * len(specs), tuple(kinds), workers)
 
 
 def simulate_feature_matrix(spec: ModelSpec, kinds: Sequence[FeatureKind],
                             n_samples: int, master_seed: int,
-                            workers: int = 1,
-                            seeds: Optional[Sequence[int]] = None) -> dict:
-    """Per-kind feature arrays over one prior-predictive ensemble.
-
-    Sample i is generated from seed derive_seed(master_seed, i) (or an
-    explicit ``seeds`` sequence) and every requested kind is extracted from
-    the same graph, so kinds are jointly sampled. Output is independent of
-    ``workers``.
-    """
-    if n_samples < 1:
-        raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
-    kinds = tuple(kinds)
-    if seeds is None:
-        seeds = [derive_seed(master_seed, i) for i in range(n_samples)]
-    elif len(seeds) != n_samples:
-        raise InvalidInput("seeds must match n_samples")
-    jobs = [(spec, kinds, tuple(seeds[lo:hi]), lo)
-            for lo, hi in split_ranges(n_samples, max(1, workers) * 4)]
-    rows: list[list[float]] = []
-    for chunk in pool_map(_feature_chunk, jobs, workers):
-        rows.extend(chunk)
-    matrix = np.asarray(rows, dtype=float)
-    return {kind: matrix[:, j] for j, kind in enumerate(kinds)}
-
-
-def simulate_feature_samples(spec: ModelSpec, kind: FeatureKind, n_samples: int,
-                             master_seed: int, workers: int = 1,
-                             model_id: str = "") -> FeatureSamples:
-    """One-kind convenience wrapper around ``simulate_feature_matrix``."""
-    values = simulate_feature_matrix(spec, [kind], n_samples, master_seed, workers)[kind]
-    return FeatureSamples(kind, values, model_id=model_id)
+                            workers: int = 1) -> dict:
+    """``simulate_feature_matrices`` for one spec."""
+    return simulate_feature_matrices([spec], kinds, n_samples, master_seed, workers)[0]
 
 
 # --------------------------------------------------------------------------
@@ -373,15 +415,17 @@ class ParamPosterior:
                          if p == param and lo <= v <= hi))
 
 
-def _posterior_from_evidences(params, values, priors, evidences) -> ParamPosterior:
-    products = [p * e for p, e in zip(priors, evidences)]
-    total = sum(products)
-    if total == 0:
-        raise UndefinedPosterior("all grid-point evidences vanished")
+def grid_posterior(params: Sequence[str], values: Sequence[float],
+                   evidences: Sequence[float],
+                   priors: Optional[Sequence[float]] = None) -> ParamPosterior:
+    """Posterior over labeled grid points; all equally probable a priori
+    when ``priors`` is None."""
+    if priors is None:
+        priors = [1.0 / len(params)] * len(params)
     return ParamPosterior(tuple(params), tuple(float(v) for v in values),
                           tuple(float(p) for p in priors),
                           tuple(float(e) for e in evidences),
-                          tuple(x / total for x in products))
+                          tuple(posterior_model_probs(evidences, priors)))
 
 
 def grid_points(spec: ModelSpec) -> tuple[str, GridPrior]:
@@ -406,25 +450,38 @@ def fix_grid_point(spec: ModelSpec, param: str, value: float) -> ModelSpec:
     raise InvalidSpec(f"unknown grid parameter {param!r}")
 
 
-def grid_feature_matrices(spec: ModelSpec, kinds: Sequence[FeatureKind],
-                          n_per_point: int, master_seed: int, workers: int = 1
-                          ) -> tuple[str, GridPrior, list[dict]]:
-    """Per-grid-point feature arrays (one dict kind->values per point).
+def grid_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKind],
+                          n_per_point: int, master_seeds: Sequence[int],
+                          workers: int = 1) -> list[tuple[str, GridPrior, list[dict]]]:
+    """Per gridded spec: (parameter, grid, one dict kind->values per grid point).
 
-    Every grid point reuses the same per-sample seed stream
-    derive_seed(master_seed, i), i.e. points are compared under common random
-    numbers; identical points therefore produce identical ensembles.
+    Every grid point of spec f reuses the same per-sample seed stream
+    derive_seed(master_seeds[f], i), i.e. points are compared under common
+    random numbers; identical points therefore produce identical ensembles.
+    All points of all specs are drawn in one pool.
     """
-    param, grid = grid_points(spec)
-    kinds = tuple(kinds)
-    seeds = tuple(derive_seed(master_seed, i) for i in range(n_per_point))
-    jobs = [(fix_grid_point(spec, param, v), kinds, seeds) for v in grid.values]
-    results = pool_map(_feature_chunk, jobs, workers)
-    matrices = []
-    for rows in results:
-        matrix = np.asarray(rows, dtype=float)
-        matrices.append({kind: matrix[:, j] for j, kind in enumerate(kinds)})
-    return param, grid, matrices
+    grids = [grid_points(spec) for spec in specs]
+    point_specs, point_seeds = [], []
+    for spec, (param, grid), master_seed in zip(specs, grids, master_seeds):
+        seeds = _seed_stream(master_seed, n_per_point)
+        point_specs.extend(fix_grid_point(spec, param, v) for v in grid.values)
+        point_seeds.extend([seeds] * len(grid.values))
+    matrices = iter(_simulate(point_specs, point_seeds, tuple(kinds), workers))
+    return [(param, grid, [next(matrices) for _ in grid.values]) for param, grid in grids]
+
+
+def grid_evidences(observations: Sequence[tuple[FeatureKind, float]],
+                   matrices: Sequence[dict],
+                   pseudo_count: float = DEFAULT_PSEUDO_COUNT) -> np.ndarray:
+    """Per grid point, the product over ``(kind, observed)`` pairs of the
+    observed value's evidence under the point's density estimate (features
+    treated as independent)."""
+    product = np.ones(len(matrices))
+    for kind, observed in observations:
+        product *= np.asarray([
+            evidence(estimate_density(FeatureSamples(kind, m[kind]), pseudo_count), observed)
+            for m in matrices])
+    return product
 
 
 def param_posterior(observed: float, kind: FeatureKind, spec: ModelSpec,
@@ -436,14 +493,11 @@ def param_posterior(observed: float, kind: FeatureKind, spec: ModelSpec,
     observed feature's evidence under each point's density estimate is
     weighted by the grid prior and normalized.
     """
-    if n_per_point < 1:
-        raise InvalidInput(f"n_per_point must be >= 1, got {n_per_point}")
-    param, grid, matrices = grid_feature_matrices(spec, [kind], n_per_point,
-                                                  master_seed, workers)
-    evidences = [evidence(estimate_density(FeatureSamples(kind, m[kind]), pseudo_count),
-                          observed) for m in matrices]
-    return _posterior_from_evidences([param] * len(grid.values), grid.values,
-                                     grid.weights, evidences)
+    [(param, grid, matrices)] = grid_feature_matrices([spec], [kind], n_per_point,
+                                                      [master_seed], workers)
+    evidences = grid_evidences([(kind, observed)], matrices, pseudo_count)
+    return grid_posterior([param] * len(grid.values), grid.values, evidences,
+                          grid.weights)
 
 
 def pool_posteriors(posteriors: Sequence[ParamPosterior]) -> ParamPosterior:
@@ -454,15 +508,9 @@ def pool_posteriors(posteriors: Sequence[ParamPosterior]) -> ParamPosterior:
     """
     if len(posteriors) == 0:
         raise InvalidInput("need at least one posterior to pool")
-    params: list[str] = []
-    values: list[float] = []
-    evidences: list[float] = []
-    for post in posteriors:
-        params.extend(post.params)
-        values.extend(post.values)
-        evidences.extend(post.evidences)
-    flat = [1.0 / len(params)] * len(params)
-    return _posterior_from_evidences(params, values, flat, evidences)
+    return grid_posterior([p for post in posteriors for p in post.params],
+                          [v for post in posteriors for v in post.values],
+                          [e for post in posteriors for e in post.evidences])
 
 
 # --------------------------------------------------------------------------
@@ -532,6 +580,9 @@ class ComparisonReport:
     decision: Decision
     decision_rule: str = DECISION_RULE
     block_count_method: str = BLOCK_COUNT_METHOD
+    #: The simulated per-kind feature arrays of model_1 and model_2; not
+    #: serialized, and ignored by ``==``.
+    matrices: tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
 
 def _json_number(x: float):
@@ -630,8 +681,8 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidInput("need at least one feature")
-    matrix1 = simulate_feature_matrix(spec1, kinds, n_samples, master_seed, workers)
-    matrix2 = simulate_feature_matrix(spec2, kinds, n_samples, master_seed, workers)
+    matrix1, matrix2 = simulate_feature_matrices([spec1, spec2], kinds, n_samples,
+                                                 master_seed, workers)
 
     comparisons = []
     loss_pairs = []
@@ -677,4 +728,5 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
         model_1=model_ids[0], model_2=model_ids[1], n_samples=n_samples,
         master_seed=master_seed, loss=loss, features=tuple(comparisons),
         combined_ratio=combined, model_priors=tuple(model_priors),
-        posterior_odds=posterior_odds, decision=decide(combined, posterior_odds))
+        posterior_odds=posterior_odds, decision=decide(combined, posterior_odds),
+        matrices=(matrix1, matrix2))

@@ -18,16 +18,18 @@ import numpy as np
 from .errors import InvalidSpec
 from .features import FeatureKind, extract_feature
 from .generators import ModelSpec, model_spec_to_json, parse_model_spec, sample_graph
-from .inference import (
+# estimate_density and evidence stay importable here for perfbench/spans.py to wrap.
+from .inference import (  # noqa: F401
     DEFAULT_PSEUDO_COUNT,
     FeatureSamples,
     LossKind,
     ParamPosterior,
-    _posterior_from_evidences,
     estimate_density,
     evidence,
     expected_loss,
+    grid_evidences,
     grid_feature_matrices,
+    grid_posterior,
 )
 from .seeds import derive_seed, spawn_rng
 
@@ -117,15 +119,12 @@ def parse_study_config(obj: dict) -> StudyConfig:
             )
             for r in obj["rows"]
         )
+        n_samples = int(obj.get("n_samples", DEFAULT_STUDY_SAMPLES))
+        master_seed = int(obj.get("seed", 0))
     except (KeyError, TypeError) as exc:
         raise InvalidSpec(f"malformed study config: {exc!r}") from None
-    return StudyConfig(
-        candidates=candidates,
-        windows=windows,
-        rows=rows,
-        n_samples=int(obj.get("n_samples", DEFAULT_STUDY_SAMPLES)),
-        master_seed=int(obj.get("seed", 0)),
-    )
+    return StudyConfig(candidates=candidates, windows=windows, rows=rows,
+                       n_samples=n_samples, master_seed=master_seed)
 
 
 def study_config_to_json(config: StudyConfig) -> dict:
@@ -162,62 +161,44 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
     if data_graph is None:
         data_graph = sample_graph(row.data_spec, spawn_rng(row_seed, 0))
 
-    # One simulation pass per family covers every feature of the row.
-    families = [
-        (cand.id,
-         *grid_feature_matrices(cand.spec, row.features, config.n_samples,
-                                derive_seed(row_seed, 1 + f_index), workers))
-        for f_index, cand in enumerate(config.candidates)
-    ]
-    point_params: list[str] = []
-    point_values: list[float] = []
-    for _, param, grid, _ in families:
-        point_params.extend([param] * len(grid.values))
-        point_values.extend(grid.values)
+    # One pool covers every grid point and every feature of the row.
+    families = grid_feature_matrices(
+        [cand.spec for cand in config.candidates], row.features, config.n_samples,
+        [derive_seed(row_seed, 1 + f) for f in range(len(config.candidates))], workers)
+    observations = [(kind, float(extract_feature(data_graph, kind)))
+                    for kind in row.features]
 
-    generating = row.data_id
-    other = next(c.id for c in config.candidates if c.id != generating)
-    evidence_product = np.ones(len(point_params))
-    loss_ratio_terms: dict[LossKind, list[float]] = {l: [] for l in row.losses}
+    pooled = grid_posterior(
+        [param for param, grid, _ in families for _ in grid.values],
+        [value for _, grid, _ in families for value in grid.values],
+        np.concatenate([grid_evidences(observations, matrices, pseudo_count)
+                        for _, _, matrices in families]))
 
-    for kind in row.features:
-        observed = float(extract_feature(data_graph, kind))
-        point_evidences: list[float] = []
-        family_losses: dict[str, dict[LossKind, float]] = {}
-        for cand_id, param, grid, matrices in families:
-            ensembles = [FeatureSamples(kind, matrix[kind],
-                                        model_id=f"{cand_id}:{param}={value:g}")
-                         for value, matrix in zip(grid.values, matrices)]
-            point_evidences.extend(
-                evidence(estimate_density(s, pseudo_count), observed)
-                for s in ensembles)
-            family_losses[cand_id] = {
-                loss: float(sum(w * expected_loss(s, observed, loss)
-                                for w, s in zip(grid.weights, ensembles)))
-                for loss in row.losses
-            }
-        evidence_product *= np.asarray(point_evidences)
-        for loss in row.losses:
-            el_wrong = family_losses[other][loss]
-            el_right = family_losses[generating][loss]
-            loss_ratio_terms[loss].append(
-                float("inf") if el_right == 0 else el_wrong / el_right)
+    ids = [cand.id for cand in config.candidates]
 
-    flat = [1.0 / len(point_params)] * len(point_params)
-    pooled = _posterior_from_evidences(point_params, point_values, flat,
-                                       evidence_product)
-    return [
-        StudyRowResult(
+    def family_loss(cand_id: str, kind: FeatureKind, observed: float, loss: LossKind):
+        """Grid-prior-weighted expected loss of one family on one feature."""
+        _, grid, matrices = families[ids.index(cand_id)]
+        return float(sum(w * expected_loss(FeatureSamples(kind, m[kind]), observed, loss)
+                         for w, m in zip(grid.weights, matrices)))
+
+    other = next(i for i in ids if i != row.data_id)
+    results = []
+    for loss in row.losses:
+        ratios = []
+        for kind, observed in observations:
+            el_wrong = family_loss(other, kind, observed, loss)
+            el_right = family_loss(row.data_id, kind, observed, loss)
+            ratios.append(float("inf") if el_right == 0 else el_wrong / el_right)
+        results.append(StudyRowResult(
             data_id=row.data_id,
             loss=loss,
             features=row.features,
-            loss_ratio=float(np.mean(loss_ratio_terms[loss])),
+            loss_ratio=float(np.mean(ratios)),
             window_probabilities=tuple(
                 pooled.window_probability(w.param, w.lo, w.hi) for w in config.windows),
-            posterior=pooled,
-        )
-        for loss in row.losses
-    ]
+            posterior=pooled))
+    return results
 
 
 def run_study(config: StudyConfig, workers: int = 1,

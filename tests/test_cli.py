@@ -260,6 +260,25 @@ def test_compare_plot_data(tmp_path):
     assert body.startswith("x,density\n")
 
 
+def test_compare_plot_data_draws_each_ensemble_once(tmp_path, monkeypatch):
+    import netselect.inference as inference
+    data = make_data_graph(tmp_path, {"type": "er", "n": 12, "p": 0.5})
+    m1 = write_json(tmp_path / "m1.json", {"type": "er", "n": 12, "p": 0.4})
+    m2 = write_json(tmp_path / "m2.json", {"type": "er", "n": 12, "p": 0.6})
+    draws = []
+
+    def counted(spec, rng):
+        draws.append(spec)
+        return sample_graph(spec, rng)
+
+    monkeypatch.setattr(inference, "sample_graph", counted)
+    assert run_cli(["compare", "--data", data, "--model", m1, "--model2", m2,
+                    "--features", "link_density,triangle_count",
+                    "--samples", 20, "--seed", 1, "--out", tmp_path / "r.json",
+                    "--plot-data", tmp_path / "plots"]) == 0
+    assert len(draws) == 2 * 20
+
+
 # --------------------------------------------------------------------------
 # elicit
 # --------------------------------------------------------------------------
@@ -371,6 +390,33 @@ def test_simulate_requires_config(tmp_path):
     assert run_cli(["simulate"]) == 2
 
 
+def test_every_command_is_byte_equal_at_one_and_two_threads(tmp_path):
+    data = make_data_graph(tmp_path, {"type": "sbm", "n": 30, "k": 3,
+                                      "p_in": 0.4, "p_out": 0.05})
+    m1 = write_json(tmp_path / "m1.json", {"type": "sbm", "n": 30, "k": 3,
+                                           "p_in": 0.4, "p_out": 0.05})
+    m2 = write_json(tmp_path / "m2.json", {"type": "er", "n": 30,
+                                           "p": {"uniform": [0.1, 0.3]}})
+    study = study_config(tmp_path, n=40, samples=9)
+    outputs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        common = ["--samples", 13, "--seed", 3, "--threads", threads]
+        assert run_cli(["generate", "--model", m2, *common, "--out", out / "gen"]) == 0
+        assert run_cli(["compare", "--data", data, "--model", m1, "--model2", m2,
+                        "--features", "triangle_count,degree_entropy", *common,
+                        "--out", out / "compare.json", "--plot-data", out / "plots"]) == 0
+        assert run_cli(["elicit", "--model", m1, "--model2", m2,
+                        "--range", "link_density:0.1:0.2", *common,
+                        "--out", out / "elicit.json"]) == 0
+        assert run_cli(["simulate", "--config", study, "--seed", 3,
+                        "--threads", threads, "--out", out / "simulate.csv"]) == 0
+        outputs[threads] = {str(f.relative_to(out)): f.read_bytes()
+                            for f in sorted(out.rglob("*")) if f.is_file()}
+    assert len(outputs[1]) == 13 + 1 + 1 + 8 + 1 + 1
+    assert outputs[1] == outputs[2]
+
+
 # --------------------------------------------------------------------------
 # graph loading and label remapping
 # --------------------------------------------------------------------------
@@ -442,6 +488,21 @@ def test_flags_override_config(tmp_path, capsys):
                     "--features", "triangle_count"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert rows[0]["kind"] == "triangle_count"
+
+
+@pytest.mark.parametrize("config, message", [
+    ([{"features": ["link_density"]}], "must hold a JSON object"),
+    ({"model_priors": 0.5}, "model_priors"),
+    ({"features": 5}, "'features'"),
+])
+def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):
+    data = make_data_graph(tmp_path, {"type": "er", "n": 10, "p": 0.5})
+    m = write_json(tmp_path / "m.json", {"type": "er", "n": 10, "p": 0.5})
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert run_cli(["compare", "--config", cfg, "--data", data, "--model", m,
+                    "--model2", m, "--samples", 5, "--seed", 0]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_missing_file_is_config_error():

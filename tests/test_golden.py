@@ -1,10 +1,10 @@
 """Byte-identity of fixed-seed outputs against committed golden files.
 
 ``tests/golden/`` holds the SHA-256 of ``write_edge_list`` for fixed-seed
-draws of every model family (n = 5..300), a ``compare`` JSON report and a
-``simulate`` CSV table. Each test regenerates its output and compares bytes,
-so any change to RNG consumption, graph construction or feature values shows
-up here. To re-record after a deliberate output change, run
+draws of every model family (n = 5..300), a ``compare`` JSON report, the
+``compare --plot-data`` CSVs and a ``simulate`` CSV table. Each test
+regenerates its output and compares bytes, so any change to RNG consumption,
+graph construction or feature values shows up here. To re-record after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -70,22 +70,38 @@ def _write_json(path: Path, obj) -> str:
     return str(path)
 
 
-def compare_report(work: Path) -> bytes:
-    """A ``netselect compare`` JSON report over all seven features."""
+def _compare_inputs(work: Path) -> list[str]:
+    """Data and model flags shared by the ``compare`` goldens."""
     data = sample_graph(Sbm(80, 2, p_in=0.3, p_out=0.05), np.random.default_rng(5))
     (work / "data.tsv").write_text(write_edge_list(data), encoding="utf-8")
     sbm = _write_json(work / "sbm.json", {"type": "sbm", "n": 80, "k": 2,
                                           "p_in": 0.3, "p_out": 0.05})
     er = _write_json(work / "er.json", {"type": "er", "n": 80,
                                         "p": {"uniform": [0.1, 0.25]}})
+    return ["--data", str(work / "data.tsv"), "--model", sbm, "--model2", er]
+
+
+def compare_report(work: Path) -> bytes:
+    """A ``netselect compare`` JSON report over all seven features."""
     out = work / "compare.json"
-    code = main(["compare", "--data", str(work / "data.tsv"), "--model", sbm,
-                 "--model2", er, "--features",
+    code = main(["compare", *_compare_inputs(work), "--features",
                  "degree_entropy,power_law_exponent,block_count,triangle_count,"
                  "diameter,link_density,global_clustering",
                  "--samples", "30", "--seed", "3", "--out", str(out)])
     assert code == 0
     return out.read_bytes()
+
+
+def plot_data(work: Path, threads: int) -> dict:
+    """File name -> bytes of the ``compare --plot-data`` CSVs, one discrete
+    and two continuous features."""
+    plots = work / f"plots_{threads}"
+    code = main(["compare", *_compare_inputs(work), "--features",
+                 "block_count,global_clustering,degree_entropy",
+                 "--samples", "30", "--seed", "3", "--threads", str(threads),
+                 "--out", str(work / "plot_report.json"), "--plot-data", str(plots)])
+    assert code == 0
+    return {f.name: f.read_bytes() for f in sorted(plots.iterdir())}
 
 
 STUDY = {
@@ -129,6 +145,13 @@ def test_compare_report_matches_golden(tmp_path):
     assert compare_report(tmp_path) == (GOLDEN / "compare.json").read_bytes()
 
 
+def test_plot_data_matches_golden_at_one_and_two_workers(tmp_path):
+    golden = {f.name: f.read_bytes() for f in sorted((GOLDEN / "plot_data").iterdir())}
+    assert len(golden) == 12
+    assert plot_data(tmp_path, 1) == golden
+    assert plot_data(tmp_path, 2) == golden
+
+
 def test_simulate_table_matches_golden_at_one_and_two_workers(tmp_path):
     golden = (GOLDEN / "simulate.csv").read_bytes()
     assert simulate_table(tmp_path, 1) == golden
@@ -143,5 +166,8 @@ if __name__ == "__main__":  # re-record the golden files
         json.dumps(edge_list_hashes(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "compare.json").write_bytes(compare_report(Path(tmp)))
+        (GOLDEN / "plot_data").mkdir(exist_ok=True)
+        for name, body in plot_data(Path(tmp), 1).items():
+            (GOLDEN / "plot_data" / name).write_bytes(body)
         (GOLDEN / "simulate.csv").write_bytes(simulate_table(Path(tmp), 1))
     sys.exit(0)

@@ -37,7 +37,6 @@ from netselect import (
     shard_cells,
     silverman_bandwidth,
     simulate_feature_matrix,
-    simulate_feature_samples,
 )
 
 
@@ -515,11 +514,3 @@ def test_simulate_feature_matrix_worker_independence():
     parallel = simulate_feature_matrix(spec, kinds, 16, master_seed=4, workers=2)
     for kind in kinds:
         assert np.array_equal(serial[kind], parallel[kind])
-
-
-def test_simulate_feature_samples_model_id():
-    spec = ErdosRenyi(8, PointPrior(0.5))
-    samples = simulate_feature_samples(spec, FeatureKind("link_density"), 10,
-                                       master_seed=3, model_id="er")
-    assert samples.model_id == "er"
-    assert samples.n == 10

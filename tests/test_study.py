@@ -2,6 +2,7 @@ import pytest
 
 from netselect import (
     Candidate,
+    ErdosRenyi,
     FeatureKind,
     GridPrior,
     InvalidSpec,
@@ -109,3 +110,25 @@ def test_workers_do_not_change_results():
     serial = study_results_csv(config, run_study(config, workers=1))
     parallel = study_results_csv(config, run_study(config, workers=2))
     assert serial == parallel
+
+
+def test_family_whose_evidences_all_underflow_keeps_the_pooled_posterior():
+    # Every grid point of the dense family puts zero evidence on the sparse
+    # data; the row must pool it with the sparse family, not normalise it alone.
+    config = StudyConfig(
+        candidates=(Candidate("low", ErdosRenyi(60, GridPrior((0.04, 0.05, 0.06)))),
+                    Candidate("high", ErdosRenyi(60, GridPrior((0.8, 0.9))))),
+        windows=(Window("p", 0.04, 0.06),),
+        rows=(StudyRow("low", ErdosRenyi(60, PointPrior(0.05)),
+                       (FeatureKind("link_density"), FeatureKind("global_clustering")),
+                       (LossKind("quadratic"),)),),
+        n_samples=30,
+        master_seed=5,
+    )
+    [res] = run_study(config)
+    evidences = res.posterior.evidences
+    assert evidences[:3] == pytest.approx((0.34206949851809465, 802.1556878969701,
+                                           325.2058504792653), rel=1e-12)
+    assert evidences[3:] == (0.0, 0.0)
+    assert res.window_probabilities == (1.0,)
+    assert res.posterior.posterior_weights[3:] == (0.0, 0.0)
