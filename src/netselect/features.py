@@ -15,8 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidSpec, UndefinedFeature
-# shortest_path_distances is not called here any more; it stays importable from
-# this module because perfbench/spans.py wraps it under this module's name.
+# connected_components and shortest_path_distances are not called here any
+# more; they stay importable from this module because perfbench/spans.py wraps
+# them under this module's name.
 from .graph import (  # noqa: F401
     Graph,
     _closed_neighbourhoods,
@@ -191,23 +192,58 @@ def estimate_block_count(g: Graph, k_max: int) -> int:
     return max(1, min(neg, k_max, g.node_count))
 
 
-#: Set bits of each byte value; counts bits on numpy < 2 (no np.bitwise_count).
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
 #: Adjacency entries gathered per numpy call in count_triangles and
 #: _eccentricities, which bounds their temporaries to about
 #: 16 * _EDGE_CHUNK * ceil(n / 64) bytes on dense graphs.
 _EDGE_CHUNK = 1 << 14
 
+# SWAR masks, as 0-d arrays: numpy applies these faster than uint64 scalars
+_M1, _M2, _M4, _H01 = (np.array(m, dtype=np.uint64) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+_S1, _S2, _S4, _S56 = (np.array(s, dtype=np.uint64) for s in (1, 2, 4, 56))
 
-def _pack_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """n x ceil(n / 64) uint64 bitset with bit ``cols[i]`` of row ``rows[i]`` set.
 
-    Packs a dense boolean mask, so it briefly holds about n^2 bytes.
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, computed in place in ``x`` and returned.
+
+    SWAR: bit counts of 2-, 4- and 8-bit fields, then one multiply sums the
+    eight byte counts into the top byte. The steps share one temporary the
+    size of ``x``.
     """
-    dense = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
-    dense[rows, cols] = True
-    return np.packbits(dense, axis=1, bitorder="little").view(np.uint64)
+    t = x >> _S1
+    t &= _M1
+    x -= t
+    np.right_shift(x, _S2, out=t)
+    t &= _M2
+    x &= _M2
+    x += t
+    np.right_shift(x, _S4, out=t)
+    x += t
+    x &= _M4
+    x *= _H01
+    x >>= _S56
+    return x
+
+
+def _packed_adjacency(g: Graph) -> np.ndarray:
+    """n x ceil(n / 64) uint64 bitset whose row v has bit u set iff u ~ v.
+
+    Rows are packed through a dense boolean mask in blocks of
+    _EDGE_CHUNK // 8 rows, so a block's mask is no larger than one gather of
+    _EDGE_CHUNK packed rows; graphs up to that many nodes pack in one block.
+    """
+    n = g.node_count
+    width = 64 * -(-n // 64)
+    step = max(1, _EDGE_CHUNK // 8)
+    bits = np.empty((n, width // 64), dtype=np.uint64)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        mask = np.zeros((hi - lo) * width, dtype=bool)
+        starts = np.repeat(np.arange(0, (hi - lo) * width, width), g.degrees[lo:hi])
+        mask[starts + g.indices[g.indptr[lo]:g.indptr[hi]]] = True
+        bits[lo:hi] = np.packbits(mask, bitorder="little").view(np.uint64).reshape(hi - lo, -1)
+        del mask  # free it before the next block's mask is allocated
+    return bits
 
 
 def count_triangles(g: Graph) -> int:
@@ -218,47 +254,51 @@ def count_triangles(g: Graph) -> int:
     kept on the graph, so clustering on the same graph does not redo it.
     """
     if g._triangles is None:
-        n = g.node_count
-        bits = _pack_rows(n, np.repeat(np.arange(n), g.degrees), g.indices)
+        bits = _packed_adjacency(g)
         us, vs = _edge_arrays(g)
         total = 0
         for lo in range(0, len(us), _EDGE_CHUNK):
             hi = lo + _EDGE_CHUNK
-            common = bits[us[lo:hi]] & bits[vs[lo:hi]]
-            total += int(_POPCOUNT8[common.view(np.uint8)].sum())
+            common = np.take(bits, us[lo:hi], axis=0)
+            common &= np.take(bits, vs[lo:hi], axis=0)
+            total += int(_popcount(common).sum())
         object.__setattr__(g, "_triangles", total // 3)
     return g._triangles
 
 
-def _eccentricities(g: Graph) -> np.ndarray:
-    """Hop eccentricity of every node within its own connected component.
+def _eccentricities(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(ecc, reach): hop eccentricities and the converged reach bitsets.
 
     Breadth-first search from all sources at once: row v of ``reach`` is the
     bitset of nodes within ``level`` hops of v, and each level ORs together
     the rows of v's closed neighbourhood {v} | N(v). Hop distances within a
     component are contiguous, so a row that stops growing already holds v's
-    whole component, and v's eccentricity is the last level at which its row
-    grew.
+    whole component, and v's eccentricity within it is the last level at
+    which its row grew. The search ends when no row grows, so row v of the
+    returned ``reach`` is v's connected component.
     """
     n = g.node_count
     nodes = np.arange(n)
     ptr, closed = _closed_neighbourhoods(g)
     # node blocks of about _EDGE_CHUNK closed-neighbourhood entries each
-    cuts = np.unique(np.append(np.searchsorted(ptr, np.arange(0, ptr[-1], _EDGE_CHUNK)), n))
-    reach = _pack_rows(n, nodes, nodes)
+    cuts = sorted({0, n, *np.searchsorted(ptr, range(_EDGE_CHUNK, ptr[-1], _EDGE_CHUNK)).tolist()})
+    blocks = [(lo, hi, closed[ptr[lo]:ptr[hi]], ptr[lo:hi] - ptr[lo])
+              for lo, hi in zip(cuts, cuts[1:])]
+    reach = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    reach[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
+    grown = np.empty_like(reach)
     ecc = np.zeros(n, dtype=np.int64)
     level = 0
     while True:
-        grown = np.empty_like(reach)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            grown[lo:hi] = np.bitwise_or.reduceat(
-                reach[closed[ptr[lo]:ptr[hi]]], ptr[lo:hi] - ptr[lo], axis=0)
+        for lo, hi, members, offsets in blocks:
+            np.bitwise_or.reduceat(np.take(reach, members, axis=0), offsets,
+                                   axis=0, out=grown[lo:hi])
         changed = (grown != reach).any(axis=1)
         if not changed.any():
-            return ecc
+            return ecc, reach
         level += 1
         ecc[changed] = level
-        reach = grown
+        reach, grown = grown, reach
 
 
 def diameter(g: Graph) -> int:
@@ -266,14 +306,14 @@ def diameter(g: Graph) -> int:
 
     Components of maximal size tie-break by taking the largest diameter
     among them. Computed on the largest component (rather than infinity)
-    because sparse simulated graphs are routinely disconnected.
+    because sparse simulated graphs are routinely disconnected. A node's
+    component size is the popcount of its converged reach row.
     """
     if g.node_count < 1:
         raise UndefinedFeature("diameter needs at least one node")
-    comps = connected_components(g)
-    biggest = max(len(c) for c in comps)
-    ecc = _eccentricities(g)
-    return max(int(ecc[comp].max()) for comp in comps if len(comp) == biggest)
+    ecc, reach = _eccentricities(g)
+    sizes = _popcount(reach).sum(axis=1)
+    return int(ecc[sizes == sizes.max()].max())
 
 
 def count_two_paths(g: Graph) -> int:

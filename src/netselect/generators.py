@@ -49,6 +49,8 @@ class UniformPrior:
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidSpec(f"uniform prior needs finite bounds, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise InvalidSpec(f"uniform prior needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -68,6 +70,9 @@ class GridPrior:
             weights = tuple(1.0 / len(self.values) for _ in self.values)
         if len(weights) != len(self.values):
             raise InvalidSpec("grid weights must match values in length")
+        if not all(math.isfinite(x) for x in (*self.values, *weights)):
+            raise InvalidSpec(f"grid values and weights must be finite, got {self.values} "
+                              f"and {weights}")
         if any(w < 0 for w in weights):
             raise InvalidSpec("grid weights must be non-negative")
         total = float(sum(weights))
@@ -297,6 +302,14 @@ class LogLinear:
         terms = tuple((float(w), t) for w, t in self.terms)
         if not terms:
             raise InvalidSpec("log-linear model needs at least one concordance term")
+        if not all(math.isfinite(x) for x in (self.strength, *(w for w, _ in terms))):
+            raise InvalidSpec(f"log-linear strength and term weights must be finite, "
+                              f"got {self.strength} and {[w for w, _ in terms]}")
+        for name, least in (("burn_in", 0), ("thin", 1)):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)
+                                      or value < least):
+                raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
         object.__setattr__(self, "terms", terms)
 
 

@@ -133,8 +133,14 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _closed_neighbourhoods(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """(ptr, closed): {v} | N(v) is closed[ptr[v]:ptr[v + 1]], v first."""
-    ptr = g.indptr + np.arange(g.node_count + 1)
-    return ptr, np.insert(g.indices, g.indptr[:-1], np.arange(g.node_count))
+    n = g.node_count
+    ptr = g.indptr + np.arange(n + 1)
+    closed = np.empty(ptr[-1], dtype=g.indices.dtype)
+    closed[ptr[:-1]] = np.arange(n)
+    others = np.ones(ptr[-1], dtype=bool)
+    others[ptr[:-1]] = False
+    closed[others] = g.indices
+    return ptr, closed
 
 
 def _check_node(v: int, node_count: int) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -66,6 +67,34 @@ def test_generate_rejects_bad_spec(tmp_path):
     bad = write_json(tmp_path / "bad.json", {"type": "er", "n": 5})
     assert run_cli(["generate", "--model", bad, "--samples", 1,
                     "--seed", 0, "--out", tmp_path / "x"]) == 2
+
+
+LOGLINEAR = {"type": "loglinear", "n": 8, "lambda": 1.0, "burn_in": 40, "thin": 4,
+             "terms": [{"weight": -1.0, "f": "edge_count"}]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "powerlaw", "n": 10, "alpha": {"uniform": [3, math.inf]}},
+    {"type": "sbm", "n": 10, "k": {"uniform": [1, math.inf]}, "p_in": 0.5, "p_out": 0.1},
+    {"type": "powerlaw", "n": 10, "alpha": {"grid": {"values": [3, math.inf]}}},
+    {"type": "er", "n": 10, "p": {"grid": {"values": [0.1, 0.2], "weights": [1, math.inf]}}},
+    dict(LOGLINEAR, thin="x"),
+    dict(LOGLINEAR, thin=2.5),
+    dict(LOGLINEAR, thin=True),
+    dict(LOGLINEAR, burn_in=-1),
+    dict(LOGLINEAR, **{"lambda": math.nan}),
+    dict(LOGLINEAR, terms=[{"weight": math.nan, "f": "edge_count"}]),
+], ids=["powerlaw_infinite_alpha", "sbm_infinite_k", "powerlaw_infinite_grid_value",
+        "infinite_grid_weight", "thin_string", "thin_float",
+        "thin_bool", "negative_burn_in", "nan_lambda", "nan_weight"])
+def test_generate_rejects_bad_spec_numbers(tmp_path, capsys, spec):
+    """Numbers of the right JSON type but unusable value fail when the spec is
+    parsed (exit 2), not with a traceback or a silently meaningless draw."""
+    path = write_json(tmp_path / "spec.json", spec)
+    assert run_cli(["generate", "--model", path, "--samples", 1,
+                    "--seed", 0, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
 
 
 # --------------------------------------------------------------------------

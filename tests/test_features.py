@@ -1,8 +1,12 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netselect import (
     FeatureKind,
@@ -216,9 +220,10 @@ def test_block_count_edge_cases():
 # --------------------------------------------------------------------------
 
 def brute_force_triangles(g):
+    edges = set(g.edges())  # (u, v) with u < v, as combinations yields them
     return sum(
         1 for a, b, c in itertools.combinations(range(g.node_count), 3)
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c))
+        if (a, b) in edges and (a, c) in edges and (b, c) in edges)
 
 
 def test_triangles_k4():
@@ -303,6 +308,57 @@ def test_bitset_kernels_on_dense_er(edge_chunk):
     g = generate_er(150, 0.5, np.random.default_rng(17))
     assert diameter(g) == bfs_diameter(g)
     assert count_triangles(g) == brute_force_triangles(g)
+
+
+@st.composite
+def component_graphs(draw):
+    """(n, edges): k equal-size random connected blocks, then sparse leftovers.
+
+    Each block is a random tree plus random chords, so equal-size blocks
+    usually differ in diameter; the blocks sit on consecutive ids.
+    """
+    n = draw(st.integers(1, 140))
+    k = draw(st.integers(1, min(4, n)))
+    size = draw(st.integers(1, n // k))
+    chord_p = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    leftover_p = draw(st.sampled_from([0.0, 1.0 / n, 3.0 / n]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = []
+    for base in range(0, k * size, size):
+        edges += [(base + int(rng.integers(i)), base + i) for i in range(1, size)]
+        edges += [(base + u, base + v) for u, v in itertools.combinations(range(size), 2)
+                  if rng.random() < chord_p]
+    edges += [(u, v) for u, v in itertools.combinations(range(k * size, n), 2)
+              if rng.random() < leftover_p]
+    return n, edges
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(component_graphs(), st.sampled_from([features._EDGE_CHUNK, 1, 8, 97]))
+def test_bitset_kernels_match_oracles(graph, chunk):
+    """Random sizes across 64-bit word boundaries, several largest components
+    of equal size in both id orders, and small gather and pack blocks."""
+    n, edges = graph
+    g = build_graph(n, edges)
+    reversed_ids = build_graph(n, [(n - 1 - u, n - 1 - v) for u, v in edges])
+    with mock.patch.object(features, "_EDGE_CHUNK", chunk):
+        assert diameter(g) == diameter(reversed_ids) == bfs_diameter(g)
+        assert count_triangles(g) == count_triangles(reversed_ids) == brute_force_triangles(g)
+
+
+@pytest.mark.parametrize("kernel", [count_triangles, diameter])
+def test_bitset_kernel_memory_on_a_sparse_graph(kernel):
+    """The packed rows of n=8000 take 7.6 MiB; neither kernel may hold an
+    n x n byte mask (61 MiB) on the way. tracemalloc sees numpy buffers."""
+    uv = np.random.default_rng(1).integers(0, 8000, size=(4000, 2))
+    g = build_graph(8000, uv[uv[:, 0] != uv[:, 1]].tolist())
+    tracemalloc.start()
+    try:
+        kernel(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_density_and_clustering_examples():
