@@ -22,9 +22,6 @@ import numpy as np
 from . import study as study_mod
 from .errors import (
     DegenerateRatio,
-    InvalidEdge,
-    InvalidInput,
-    InvalidNode,
     InvalidSpec,
     NetselectError,
     ParseError,
@@ -54,9 +51,6 @@ from .seeds import derive_seed
 
 DEFAULT_SAMPLES = 100
 
-_CONFIG_ERRORS = (InvalidSpec, ParseError, InvalidNode, InvalidEdge, InvalidInput,
-                  UndefinedFeature, KeyError, ValueError, OSError,
-                  json.JSONDecodeError)
 _INDETERMINATE_ERRORS = (UndefinedBayesFactor, UndefinedPosterior, DegenerateRatio)
 
 
@@ -499,10 +493,7 @@ def main(argv=None) -> int:
     except _INDETERMINATE_ERRORS as exc:
         print(f"indeterminate evidence: {exc}", file=sys.stderr)
         return 3
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NetselectError as exc:
+    except (NetselectError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ Supported model families:
   transform sampling and realized with an erased configuration model.
 * Log-linear concordance model: P(G) proportional to
   exp(strength * sum_i w_i * f_i(G)), sampled by Metropolis-Hastings over
-  single edge toggles.
+  single edge toggles scored by each term's change statistic.
 
 Parameters may carry priors (point mass, uniform range, or weighted grid);
 ``sample_graph`` makes one prior-predictive draw from one random generator:
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +40,10 @@ _PAIR_CHUNK = 1 << 20  # max Bernoulli draws per RNG call when sampling pair set
 @dataclass(frozen=True)
 class PointPrior:
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise InvalidSpec(f"point prior needs a finite value, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,12 @@ def prior_support(prior: ParamPrior) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 # Concordance terms for the log-linear model
 # --------------------------------------------------------------------------
+#
+# ``value(g)`` is the statistic f(G). ``delta`` is its change statistic
+# (Hunter et al., "ergm", JSS 2008): f(G with pair {u, v} toggled) - f(G),
+# computed from scalars only. ``sign`` is +1 if the toggle adds the edge and
+# -1 if it removes it; ``common`` is the number of common neighbours of u
+# and v, and ``du``, ``dv`` their degrees, all before the toggle.
 
 @dataclass(frozen=True)
 class EdgeCountTerm:
@@ -116,8 +125,8 @@ class EdgeCountTerm:
     def value(self, g: Graph) -> float:
         return float(g.edge_count)
 
-    def delta(self, g: Graph, u: int, v: int) -> float:
-        return -1.0 if g.has_edge(u, v) else 1.0
+    def delta(self, sign: int, common: int, du: int, dv: int, u: int, v: int) -> float:
+        return float(sign)
 
 
 @dataclass(frozen=True)
@@ -127,9 +136,8 @@ class TriangleCountTerm:
     def value(self, g: Graph) -> float:
         return float(count_triangles(g))
 
-    def delta(self, g: Graph, u: int, v: int) -> float:
-        common = g.common_neighbors(u, v)
-        return -float(common) if g.has_edge(u, v) else float(common)
+    def delta(self, sign: int, common: int, du: int, dv: int, u: int, v: int) -> float:
+        return float(sign * common)
 
 
 @dataclass(frozen=True)
@@ -145,14 +153,9 @@ class DegreeCountTerm:
     def value(self, g: Graph) -> float:
         return float(np.count_nonzero(g.degrees == self.degree))
 
-    def delta(self, g: Graph, u: int, v: int) -> float:
-        step = -1 if g.has_edge(u, v) else 1
+    def delta(self, sign: int, common: int, du: int, dv: int, u: int, v: int) -> float:
         d = self.degree
-        out = 0
-        for x in (u, v):
-            dx = g.degree(x)
-            out += (dx + step == d) - (dx == d)
-        return float(out)
+        return float((du + sign == d) - (du == d) + (dv + sign == d) - (dv == d))
 
 
 @dataclass(frozen=True)
@@ -169,20 +172,11 @@ class IndividualEdgeTerm:
     def value(self, g: Graph) -> float:
         return 1.0 if g.has_edge(self.u, self.v) else 0.0
 
-    def delta(self, g: Graph, u: int, v: int) -> float:
-        if {u, v} != {self.u, self.v}:
-            return 0.0
-        return -1.0 if g.has_edge(u, v) else 1.0
+    def delta(self, sign: int, common: int, du: int, dv: int, u: int, v: int) -> float:
+        return float(sign) if {u, v} == {self.u, self.v} else 0.0
 
 
 ConcordanceTerm = Union[EdgeCountTerm, TriangleCountTerm, DegreeCountTerm, IndividualEdgeTerm]
-
-_TERM_TOKENS = {
-    "edge_count": EdgeCountTerm,
-    "triangle_count": TriangleCountTerm,
-    "degree_count": DegreeCountTerm,
-    "individual_edge": IndividualEdgeTerm,
-}
 
 
 # --------------------------------------------------------------------------
@@ -204,8 +198,9 @@ class DirichletMembership:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidSpec("dirichlet concentration must be positive")
+        if not 0 < self.alpha < math.inf:  # false for NaN too
+            raise InvalidSpec(f"dirichlet concentration must be finite and positive, "
+                              f"got {self.alpha}")
 
 
 Membership = Union[None, tuple, DirichletMembership]
@@ -238,13 +233,12 @@ class Sbm:
     def __post_init__(self):
         _check_n(self.n)
         if isinstance(self.k, (PointPrior, UniformPrior, GridPrior)):
-            lo, _ = prior_support(self.k)
-            if lo < 1:
-                raise InvalidSpec("block count support must be >= 1")
+            lo, hi = prior_support(self.k)
         else:
             object.__setattr__(self, "k", int(self.k))
-            if self.k < 1:
-                raise InvalidSpec(f"block count must be >= 1, got {self.k}")
+            lo = hi = self.k
+        if not 1 <= lo <= hi <= self.n:
+            raise InvalidSpec(f"block count support [{lo}, {hi}] outside [1, n={self.n}]")
         has_matrix = self.edge_probs is not None
         has_shorthand = self.p_in is not None or self.p_out is not None
         if has_matrix == has_shorthand:
@@ -619,6 +613,10 @@ def mh_loglinear_sample(spec: LogLinear, count: int, burn_in: Optional[int] = No
     after ``burn_in`` steps is returned, so the k-th retained graph is the
     chain state after burn_in + k * thin steps.
 
+    The chain state is one Python int per node: bit v of ``adj[u]`` is set
+    iff u ~ v, so a toggle is two XORs, degrees are ``bit_count()`` and the
+    common neighbours of u and v are ``(adj[u] & adj[v]).bit_count()``.
+
     Defaults: burn_in = 10 n^2, thin = n^2 (one sweep-scale unit per sample).
     """
     if count < 1:
@@ -632,13 +630,12 @@ def mh_loglinear_sample(spec: LogLinear, count: int, burn_in: Optional[int] = No
         thin = spec.thin if spec.thin is not None else default_thin(n)
     if burn_in < 0 or thin < 1:
         raise InvalidInput("burn_in must be >= 0 and thin >= 1")
+    adj = [0] * n
     if n < 2:
-        return [_snapshot([set() for _ in range(n)])] * count
+        return [_snapshot(adj)] * count
 
     pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
     m = len(pairs)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    view = _AdjView(adj)
     strength = spec.strength
     terms = spec.terms
 
@@ -658,15 +655,15 @@ def mh_loglinear_sample(spec: LogLinear, count: int, burn_in: Optional[int] = No
             # is an independent Uniform(0,1) reused for the acceptance test.
             if u_step >= hold:
                 u, v = pairs[k]
-                delta = sum(w * t.delta(view, u, v) for w, t in terms)
+                au, av = adj[u], adj[v]
+                sign = -1 if au >> v & 1 else 1
+                common = (au & av).bit_count()
+                du, dv = au.bit_count(), av.bit_count()
+                delta = sum(w * t.delta(sign, common, du, dv, u, v) for w, t in terms)
                 log_ratio = strength * delta
                 if log_ratio >= 0 or (u_step - hold) * rescale < exp(log_ratio):
-                    if v in adj[u]:
-                        adj[u].discard(v)
-                        adj[v].discard(u)
-                    else:
-                        adj[u].add(v)
-                        adj[v].add(u)
+                    adj[u] = au ^ (1 << v)
+                    adj[v] = av ^ (1 << u)
             step += 1
             if step == next_snapshot:
                 out.append(_snapshot(adj))
@@ -676,31 +673,14 @@ def mh_loglinear_sample(spec: LogLinear, count: int, burn_in: Optional[int] = No
     return out
 
 
-def _snapshot(adj: list[set[int]]) -> Graph:
-    """The graph whose neighbour sets are ``adj``."""
+def _snapshot(adj: list[int]) -> Graph:
+    """The graph whose neighbour bitsets are ``adj`` (bit v of adj[u] iff u ~ v)."""
     n = len(adj)
-    src = np.repeat(np.arange(n), [len(s) for s in adj])
-    dst = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=len(src))
-    return _from_pairs(n, *_canonical_pairs(n, src, dst))
-
-
-class _AdjView:
-    """Read-only Graph-shaped view over the sampler's mutable neighbour sets,
-    answering the queries the concordance terms' ``delta`` makes."""
-
-    __slots__ = ("sets",)
-
-    def __init__(self, sets: list[set[int]]):
-        self.sets = sets
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.sets[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.sets[v])
-
-    def common_neighbors(self, u: int, v: int) -> int:
-        return len(self.sets[u] & self.sets[v])
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in adj),
+                         dtype=np.uint8).reshape(n, width)
+    mask = np.unpackbits(rows, axis=1, count=n, bitorder="little")
+    return _from_pairs(n, *np.nonzero(np.triu(mask, 1)))
 
 
 def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:
@@ -709,8 +689,6 @@ def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:
         return generate_er(spec.n, sample_parameter(spec.p, rng), rng)
     if isinstance(spec, Sbm):
         k = spec.k if isinstance(spec.k, int) else int(round(sample_parameter(spec.k, rng)))
-        if k < 1:
-            raise InvalidSpec(f"sampled block count {k} < 1")
         # a fixed membership fixes the pair probabilities for this k
         cache_key = (spec, k)
         if isinstance(spec.membership, tuple):

@@ -74,14 +74,6 @@ class Graph:
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of ``v`` in ascending order."""
-        return tuple(self._row(v).tolist())
-
-    def common_neighbors(self, u: int, v: int) -> int:
-        """Number of nodes adjacent to both ``u`` and ``v``."""
-        return len(np.intersect1d(self._row(u), self._row(v), assume_unique=True))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending (u, v) order."""
         lo, hi = _edge_arrays(self)

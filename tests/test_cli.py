@@ -71,6 +71,7 @@ def test_generate_rejects_bad_spec(tmp_path):
 
 LOGLINEAR = {"type": "loglinear", "n": 8, "lambda": 1.0, "burn_in": 40, "thin": 4,
              "terms": [{"weight": -1.0, "f": "edge_count"}]}
+SBM = {"type": "sbm", "n": 10, "k": 2, "p_in": 0.5, "p_out": 0.1}
 
 
 @pytest.mark.parametrize("spec", [
@@ -84,9 +85,21 @@ LOGLINEAR = {"type": "loglinear", "n": 8, "lambda": 1.0, "burn_in": 40, "thin": 
     dict(LOGLINEAR, burn_in=-1),
     dict(LOGLINEAR, **{"lambda": math.nan}),
     dict(LOGLINEAR, terms=[{"weight": math.nan, "f": "edge_count"}]),
+    {"type": "er", "n": 10, "p": {"point": math.nan}},
+    {"type": "powerlaw", "n": 10, "alpha": {"point": math.nan}},
+    {"type": "powerlaw", "n": 10, "alpha": {"point": math.inf}},
+    dict(SBM, k={"point": math.nan}),
+    dict(SBM, k={"point": math.inf}),
+    dict(SBM, k={"grid": {"values": [1e300]}}),
+    dict(SBM, k=11),
+    dict(SBM, membership={"dirichlet": math.nan}),
+    dict(SBM, membership={"dirichlet": math.inf}),
 ], ids=["powerlaw_infinite_alpha", "sbm_infinite_k", "powerlaw_infinite_grid_value",
         "infinite_grid_weight", "thin_string", "thin_float",
-        "thin_bool", "negative_burn_in", "nan_lambda", "nan_weight"])
+        "thin_bool", "negative_burn_in", "nan_lambda", "nan_weight",
+        "er_nan_point", "powerlaw_nan_point", "powerlaw_infinite_point",
+        "sbm_nan_point_k", "sbm_infinite_point_k", "sbm_huge_grid_k", "sbm_k_above_n",
+        "dirichlet_nan", "dirichlet_infinite"])
 def test_generate_rejects_bad_spec_numbers(tmp_path, capsys, spec):
     """Numbers of the right JSON type but unusable value fail when the spec is
     parsed (exit 2), not with a traceback or a silently meaningless draw."""
