@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -30,7 +29,7 @@ from .errors import (
     UndefinedPosterior,
 )
 from .features import FeatureKind, extract_feature
-from .generators import GridPrior, ModelSpec, model_spec_to_json, parse_model_spec
+from .generators import GRID_PARAMS, GridPrior, ModelSpec, model_spec_to_json, parse_model_spec
 from .graph import Graph, build_graph, read_edge_list, write_edge_list
 # simulate_feature_matrix stays importable here for perfbench/spans.py to wrap.
 from .inference import (  # noqa: F401
@@ -80,13 +79,6 @@ def _load_json(path: Optional[str]) -> dict:
         if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
             raise InvalidSpec(f"config {key!r} has the wrong type: {value!r}")
     return obj
-
-
-def _config_get(args, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
-    return default if value is None else value
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -167,9 +159,7 @@ def _remap_labels(text: str, canonical_error: ParseError) -> tuple[Graph, dict]:
     return graph, mapping
 
 
-def _parse_features(value, config: dict) -> list[FeatureKind]:
-    if value is None:
-        value = config.get("features")
+def _parse_features(value) -> list[FeatureKind]:
     if value is None:
         raise InvalidSpec("no features given (use --features or config 'features')")
     if isinstance(value, str):
@@ -178,9 +168,7 @@ def _parse_features(value, config: dict) -> list[FeatureKind]:
     return [FeatureKind.from_json(item) for item in value]
 
 
-def _parse_ranges(values, config: dict) -> list[tuple[FeatureKind, float, float]]:
-    if not values:
-        values = config.get("ranges")
+def _parse_ranges(values) -> list[tuple[FeatureKind, float, float]]:
     if not values:
         raise InvalidSpec("no ranges given (use --range feature:lo:hi)")
     out = []
@@ -209,15 +197,9 @@ def _apply_grid_flags(spec: ModelSpec, grid_flags) -> ModelSpec:
             values = tuple(float(v) for v in raw.split(","))
         except ValueError:
             raise InvalidSpec(f"--grid must be param:v1,v2,..., got {flag!r}") from None
-        grid = GridPrior(values)
-        if param == "alpha" and hasattr(spec, "alpha"):
-            spec = replace(spec, alpha=grid)
-        elif param == "k" and hasattr(spec, "k"):
-            spec = replace(spec, k=grid)
-        elif param == "p" and hasattr(spec, "p"):
-            spec = replace(spec, p=grid)
-        else:
+        if GRID_PARAMS.get(type(spec)) != param:
             raise InvalidSpec(f"spec has no grid-able parameter {param!r}")
+        spec = replace(spec, **{param: GridPrior(values)})
     return spec
 
 
@@ -231,21 +213,15 @@ def _ratio_marker(num: float, den: float):
 # Commands
 # --------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    config = _load_json(args.config)
-    model_src = _config_get(args, config, "model")
-    if model_src is None:
-        raise InvalidSpec("generate needs --model")
-    spec = _apply_grid_flags(_load_model_spec(model_src), args.grid)
-    n_samples = int(_config_get(args, config, "samples", DEFAULT_SAMPLES))
-    seed = int(_config_get(args, config, "seed", 0))
-    workers = int(_config_get(args, config, "threads", 1))
-    out_dir = _config_get(args, config, "out")
-    if out_dir is None:
-        raise InvalidSpec("generate needs --out <directory>")
+def cmd_generate(opts: dict) -> int:
+    if not {"model", "out"} <= opts.keys():
+        raise InvalidSpec("generate needs --model and --out <directory>")
+    spec = _apply_grid_flags(_load_model_spec(opts["model"]), opts["grid"])
+    n_samples, seed = opts.get("samples", DEFAULT_SAMPLES), opts.get("seed", 0)
+    out_dir = opts["out"]
     os.makedirs(out_dir, exist_ok=True)
 
-    graphs = prior_predictive(spec, n_samples, seed, workers=workers)
+    graphs = prior_predictive(spec, n_samples, seed, workers=opts.get("threads", 1))
     manifest = {
         "model": model_spec_to_json(spec),
         "n_samples": n_samples,
@@ -263,13 +239,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_features(args) -> int:
-    config = _load_json(args.config)
-    data_path = _config_get(args, config, "data")
-    if data_path is None:
+def cmd_features(opts: dict) -> int:
+    if "data" not in opts:
         raise InvalidSpec("features needs --data")
-    graph = load_graph_file(data_path)
-    kinds = _parse_features(args.features, config)
+    graph = load_graph_file(opts["data"])
+    kinds = _parse_features(opts.get("features"))
     rows = []
     for kind in kinds:
         try:
@@ -279,53 +253,42 @@ def cmd_features(args) -> int:
         except UndefinedFeature as exc:
             rows.append({"kind": kind.name, "value": None,
                          "discrete": kind.is_discrete, "error": str(exc)})
-    fmt = _config_get(args, config, "format", "json")
-    if fmt == "csv":
+    if opts.get("format") == "csv":
         lines = ["kind,value,discrete"]
         for row in rows:
             value = "NA" if row["value"] is None else repr(row["value"])
             lines.append(f"{row['kind']},{value},{row['discrete']}")
         text = "\n".join(lines) + "\n"
     else:
-        text = _dump_json({"data": data_path, "rows": rows})
-    _write_output(text, _config_get(args, config, "out"))
+        text = _dump_json({"data": opts["data"], "rows": rows})
+    _write_output(text, opts.get("out"))
     return 0
 
 
-def cmd_compare(args) -> int:
-    config = _load_json(args.config)
-    data_path = _config_get(args, config, "data")
-    model_src = _config_get(args, config, "model")
-    model2_src = _config_get(args, config, "model2")
-    if data_path is None or model_src is None or model2_src is None:
+def cmd_compare(opts: dict) -> int:
+    if not {"data", "model", "model2"} <= opts.keys():
         raise InvalidSpec("compare needs --data, --model and --model2")
-    graph = load_graph_file(data_path)
-    spec1 = _apply_grid_flags(_load_model_spec(model_src), args.grid)
-    spec2 = _load_model_spec(model2_src)
-    kinds = _parse_features(args.features, config)
-    loss = LossKind.from_json(_config_get(args, config, "loss", "quadratic"))
-    n_samples = int(_config_get(args, config, "samples", DEFAULT_SAMPLES))
-    seed = int(_config_get(args, config, "seed", 0))
-    workers = int(_config_get(args, config, "threads", 1))
-    priors = config.get("model_priors", [0.5, 0.5])
-    if len(priors) != 2 or not all(type(p) in (int, float) and 0 <= p < math.inf
-                                   for p in priors):
-        raise InvalidSpec(f"model_priors must be two non-negative numbers, got {priors!r}")
+    graph = load_graph_file(opts["data"])
+    spec1 = _apply_grid_flags(_load_model_spec(opts["model"]), opts["grid"])
+    spec2 = _load_model_spec(opts["model2"])
+    kinds = _parse_features(opts.get("features"))
+    loss = LossKind.from_json(opts.get("loss", "quadratic"))
+    priors = opts.get("model_priors", [0.5, 0.5])
+    if len(priors) != 2 or not all(type(p) in (int, float) for p in priors):
+        raise InvalidSpec(f"model_priors must be two numbers, got {priors!r}")
 
     report = compare_models(
-        graph, spec1, spec2, kinds, loss, n_samples, seed, workers=workers,
-        model_ids=(_model_label(model_src, "model_1"),
-                   _model_label(model2_src, "model_2")),
+        graph, spec1, spec2, kinds, loss, opts.get("samples", DEFAULT_SAMPLES),
+        opts.get("seed", 0), workers=opts.get("threads", 1),
+        model_ids=(_model_label(opts["model"], "model_1"),
+                   _model_label(opts["model2"], "model_2")),
         model_priors=(float(priors[0]), float(priors[1])))
 
-    fmt = _config_get(args, config, "format", "json")
-    text = (report_features_csv(report) if fmt == "csv"
+    text = (report_features_csv(report) if opts.get("format") == "csv"
             else _dump_json(report_to_json(report)))
-    _write_output(text, _config_get(args, config, "out"))
-
-    plot_dir = _config_get(args, config, "plot_data")
-    if plot_dir is not None:
-        _write_plot_data(plot_dir, report, kinds)
+    _write_output(text, opts.get("out"))
+    if "plot_data" in opts:
+        _write_plot_data(opts["plot_data"], report, kinds)
     return 0
 
 
@@ -358,24 +321,22 @@ def _write_plot_data(plot_dir: str, report, kinds) -> None:
                 fh.writelines(f"{x!r},{c!r}\n" for x, c in hist)
 
 
-def cmd_elicit(args) -> int:
-    config = _load_json(args.config)
-    sources = [src for src in (_config_get(args, config, "model"),
-                               _config_get(args, config, "model2")) if src is not None]
-    sources += _config_get(args, config, "models", [])
+def cmd_elicit(opts: dict) -> int:
+    sources = [opts[key] for key in ("model", "model2") if key in opts]
+    sources += opts.get("models", [])
     if not sources:
         raise InvalidSpec("elicit needs at least one model spec")
-    ranges = _parse_ranges(args.range, config)
-    n_samples = int(_config_get(args, config, "samples", DEFAULT_SAMPLES))
-    seed = int(_config_get(args, config, "seed", 0))
-    workers = int(_config_get(args, config, "threads", 1))
+    ranges = _parse_ranges(opts["range"] or opts.get("ranges"))
+    n_samples = opts.get("samples", DEFAULT_SAMPLES)
+    seed = opts.get("seed", 0)
 
     ids = [_model_label(src, f"model_{i + 1}") for i, src in enumerate(sources)]
-    specs = [_apply_grid_flags(_load_model_spec(src), args.grid if i == 0 else None)
+    specs = [_apply_grid_flags(_load_model_spec(src), opts["grid"] if i == 0 else None)
              for i, src in enumerate(sources)]
 
     kinds = sorted({kind for kind, _, _ in ranges}, key=lambda k: k.name)
-    matrices = simulate_feature_matrices(specs, kinds, n_samples, seed, workers)
+    matrices = simulate_feature_matrices(specs, kinds, n_samples, seed,
+                                         opts.get("threads", 1))
     per_model = {
         model_id: {kind: FeatureSamples(kind, matrix[kind], model_id=model_id)
                    for kind in kinds}
@@ -396,8 +357,7 @@ def cmd_elicit(args) -> int:
         range_rows.append({"feature": kind.name, "lo": lo, "hi": hi,
                            "per_model": probs, "ratios": ratios})
 
-    fmt = _config_get(args, config, "format", "json")
-    if fmt == "csv":
+    if opts.get("format") == "csv":
         lines = ["feature,lo,hi,model,probability,std_error"]
         for row in range_rows:
             for model_id in ids:
@@ -409,27 +369,21 @@ def cmd_elicit(args) -> int:
     else:
         text = _dump_json({"n_samples": n_samples, "master_seed": seed,
                            "models": ids, "ranges": range_rows})
-    _write_output(text, _config_get(args, config, "out"))
+    _write_output(text, opts.get("out"))
     return 0
 
 
-def cmd_simulate(args) -> int:
-    if not args.config:
+def cmd_simulate(opts: dict) -> int:
+    """The study is the config object itself, with --seed and --samples laid over."""
+    if "config" not in opts:
         raise InvalidSpec("simulate needs --config <study.json>")
-    config_obj = _load_json(args.config)
-    if args.seed is not None:
-        config_obj["seed"] = args.seed
-    if args.samples is not None:
-        config_obj["n_samples"] = args.samples
-    study = study_mod.parse_study_config(config_obj)
-    workers = _config_get(args, config_obj, "threads", 1)
-    results = study_mod.run_study(study, workers=workers)
-    fmt = args.format if args.format is not None else "csv"
-    if fmt == "json":
+    study = study_mod.parse_study_config(opts)
+    results = study_mod.run_study(study, workers=opts.get("threads", 1))
+    if opts.get("format") == "json":
         text = _dump_json(study_mod.study_results_json(study, results))
     else:
         text = study_mod.study_results_csv(study, results)
-    _write_output(text, args.out)
+    _write_output(text, opts.get("out"))
     return 0
 
 
@@ -437,59 +391,77 @@ def cmd_simulate(args) -> int:
 # Parser and entry point
 # --------------------------------------------------------------------------
 
+#: Each option's config key -> (flag, ``add_argument`` keywords). simulate's
+#: --samples sets the study's ``n_samples``, so it has a key of its own.
+_OPTIONS = {
+    "config": ("--config", dict(help="JSON config file with flag equivalents")),
+    "model": ("--model", dict(help="model spec JSON file")),
+    "model2": ("--model2", dict(help="second model spec JSON file")),
+    "data": ("--data", dict(help="observed edge-list file (u<TAB>v)")),
+    "grid": ("--grid", dict(action="append", metavar="PARAM:V1,V2,...",
+                            help="replace a model parameter's prior with a flat grid")),
+    "range": ("--range", dict(action="append", metavar="FEATURE:LO:HI",
+                              help="feature range; repeatable")),
+    "features": ("--features", dict(help="comma-separated feature tokens")),
+    "loss": ("--loss", dict(choices=["quadratic", "absolute", "zero_one"])),
+    "samples": ("--samples", dict(type=int, help="prior-predictive sample count")),
+    "n_samples": ("--samples", dict(type=int, help="the study's n_samples")),
+    "seed": ("--seed", dict(type=int, help="master seed")),
+    "threads": ("--threads", dict(type=int, help="worker process count")),
+    "format": ("--format", dict(metavar="{json,csv}")),
+    "out": ("--out", dict(help="output path (default: stdout)")),
+    "plot_data": ("--plot-data", dict(help="directory for density/histogram CSVs")),
+}
+
+#: Options given only as flags: a config key of the same name is ignored.
+_FLAG_ONLY = ("grid", "range")
+
+#: Each command's function, help line and options, in --help order.
+_COMMANDS = {
+    "generate": (cmd_generate, "write prior-predictive edge lists",
+                 ("config", "model", "grid", "samples", "seed", "threads", "out")),
+    "features": (cmd_features, "feature table for a graph file",
+                 ("config", "data", "features", "format", "out")),
+    "compare": (cmd_compare, "two-model comparison report",
+                ("config", "data", "model", "model2", "grid", "features", "loss",
+                 "samples", "seed", "threads", "format", "out", "plot_data")),
+    "elicit": (cmd_elicit, "range probabilities per model",
+               ("config", "model", "model2", "grid", "range", "samples", "seed",
+                "threads", "format", "out")),
+    "simulate": (cmd_simulate, "run a grid study from a config",
+                 ("config", "n_samples", "seed", "threads", "format", "out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netselect",
         description="Compare random-network models on observed graph features.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file with flag equivalents")
-        p.add_argument("--model", help="model spec JSON file")
-        p.add_argument("--model2", help="second model spec JSON file")
-        p.add_argument("--data", help="observed edge-list file (u<TAB>v)")
-        p.add_argument("--features", help="comma-separated feature tokens")
-        p.add_argument("--loss", choices=["quadratic", "absolute", "zero_one"])
-        p.add_argument("--samples", type=int, help="prior-predictive sample count")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--threads", type=int, help="worker process count")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"])
-        p.add_argument("--range", action="append", metavar="FEATURE:LO:HI",
-                       help="feature range; repeatable")
-        p.add_argument("--grid", action="append", metavar="PARAM:V1,V2,...",
-                       help="replace a model parameter's prior with a flat grid")
-
-    p_gen = sub.add_parser("generate", help="write prior-predictive edge lists")
-    add_common(p_gen)
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_feat = sub.add_parser("features", help="feature table for a graph file")
-    add_common(p_feat)
-    p_feat.set_defaults(func=cmd_features)
-
-    p_cmp = sub.add_parser("compare", help="two-model comparison report")
-    add_common(p_cmp)
-    p_cmp.add_argument("--plot-data", dest="plot_data",
-                       help="directory for density/histogram CSVs")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_eli = sub.add_parser("elicit", help="range probabilities per model")
-    add_common(p_eli)
-    p_eli.set_defaults(func=cmd_elicit)
-
-    p_sim = sub.add_parser("simulate", help="run a grid study from a config")
-    add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in keys:
+            flag, kwargs = _OPTIONS[key]
+            p.add_argument(flag, dest=key, **kwargs)
     return parser
 
 
+def _resolve_options(args: argparse.Namespace) -> dict:
+    """The command's options: the --config object without its nulls, with the
+    explicit flags laid over it."""
+    opts = {key: value for key, value in _load_json(args.config).items()
+            if value is not None}
+    opts.update((key, value) for key, value in vars(args).items()
+                if value is not None or key in _FLAG_ONLY)
+    if opts.get("format", "json") not in ("json", "csv"):
+        raise InvalidSpec(f"format must be json or csv, got {opts['format']!r}")
+    return opts
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](_resolve_options(args))
     except _INDETERMINATE_ERRORS as exc:
         print(f"indeterminate evidence: {exc}", file=sys.stderr)
         return 3

@@ -259,9 +259,10 @@ class Sbm:
             z = tuple(int(b) for b in self.membership)
             if len(z) != self.n:
                 raise InvalidSpec("membership length must equal node count")
-            kmax = self.k if isinstance(self.k, int) else None
-            if kmax is not None and any(not 0 <= b < kmax for b in z):
-                raise InvalidSpec("membership labels must lie in [0, K)")
+            k_least = int(round(lo))  # the smallest block count the prior can draw
+            if any(not 0 <= b < k_least for b in z):
+                raise InvalidSpec(f"membership labels must lie in [0, {k_least}), the "
+                                  f"smallest block count the prior can draw")
             object.__setattr__(self, "membership", z)
         elif not (self.membership is None or isinstance(self.membership, DirichletMembership)):
             raise InvalidSpec("membership must be a label list, dirichlet spec, or omitted")
@@ -304,10 +305,18 @@ class LogLinear:
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)
                                       or value < least):
                 raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+        for _, term in terms:
+            if isinstance(term, IndividualEdgeTerm) and not (
+                    0 <= term.u < self.n and 0 <= term.v < self.n):
+                raise InvalidSpec(f"individual-edge term ({term.u}, {term.v}) names a "
+                                  f"node outside [0, n={self.n})")
         object.__setattr__(self, "terms", terms)
 
 
 ModelSpec = Union[ErdosRenyi, Sbm, PowerLaw, LogLinear]
+
+#: The parameter each family can put a grid prior on (``--grid``, study grids).
+GRID_PARAMS = {ErdosRenyi: "p", Sbm: "k", PowerLaw: "alpha"}
 
 
 def _check_n(n: int) -> None:

@@ -31,12 +31,10 @@ from .errors import (
 )
 from .features import BLOCK_COUNT_METHOD, FeatureKind, extract_feature
 from .generators import (
-    ErdosRenyi,
+    GRID_PARAMS,
     GridPrior,
     ModelSpec,
     PointPrior,
-    PowerLaw,
-    Sbm,
     model_spec_to_json,
     sample_graph,
 )
@@ -222,8 +220,8 @@ class LossKind:
     def __post_init__(self):
         if self.kind not in ("quadratic", "absolute", "zero_one"):
             raise InvalidSpec(f"unknown loss kind {self.kind!r}")
-        if self.tolerance < 0:
-            raise InvalidSpec("tolerance must be non-negative")
+        if not self.tolerance >= 0:  # true for NaN too
+            raise InvalidSpec(f"tolerance must be non-negative, got {self.tolerance}")
 
     @classmethod
     def from_json(cls, obj) -> "LossKind":
@@ -231,7 +229,10 @@ class LossKind:
         if isinstance(obj, str):
             return cls(obj)
         if isinstance(obj, dict):
-            return cls(obj["kind"], float(obj.get("tolerance", 0.0)))
+            try:
+                return cls(obj["kind"], float(obj.get("tolerance", 0.0)))
+            except TypeError:
+                raise InvalidSpec(f"cannot parse loss from {obj!r}") from None
         raise InvalidSpec(f"cannot parse loss from {obj!r}")
 
     def apply(self, simulated: np.ndarray, observed: float) -> np.ndarray:
@@ -430,24 +431,15 @@ def grid_posterior(params: Sequence[str], values: Sequence[float],
 
 def grid_points(spec: ModelSpec) -> tuple[str, GridPrior]:
     """The (parameter name, grid prior) a spec carries; exactly one expected."""
-    if isinstance(spec, PowerLaw) and isinstance(spec.alpha, GridPrior):
-        return "alpha", spec.alpha
-    if isinstance(spec, Sbm) and isinstance(spec.k, GridPrior):
-        return "k", spec.k
-    if isinstance(spec, ErdosRenyi) and isinstance(spec.p, GridPrior):
-        return "p", spec.p
-    raise InvalidSpec("spec must carry a grid prior over exactly one parameter")
+    param = GRID_PARAMS.get(type(spec))
+    if param is None or not isinstance(getattr(spec, param), GridPrior):
+        raise InvalidSpec("spec must carry a grid prior over exactly one parameter")
+    return param, getattr(spec, param)
 
 
 def fix_grid_point(spec: ModelSpec, param: str, value: float) -> ModelSpec:
     """Copy of ``spec`` with the gridded parameter pinned to one value."""
-    if param == "alpha":
-        return replace(spec, alpha=PointPrior(value))
-    if param == "k":
-        return replace(spec, k=int(round(value)))
-    if param == "p":
-        return replace(spec, p=PointPrior(value))
-    raise InvalidSpec(f"unknown grid parameter {param!r}")
+    return replace(spec, **{param: int(round(value)) if param == "k" else PointPrior(value)})
 
 
 def grid_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKind],
@@ -681,6 +673,9 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidInput("need at least one feature")
+    if not (min(model_priors) >= 0 and 0 < sum(model_priors) < math.inf):
+        raise InvalidInput(f"model_priors must be finite and non-negative with a "
+                           f"positive sum, got {model_priors}")
     matrix1, matrix2 = simulate_feature_matrices([spec1, spec2], kinds, n_samples,
                                                  master_seed, workers)
 

@@ -24,6 +24,7 @@ from .inference import (  # noqa: F401
     FeatureSamples,
     LossKind,
     ParamPosterior,
+    _json_number,
     estimate_density,
     evidence,
     expected_loss,
@@ -227,6 +228,7 @@ def study_results_csv(config: StudyConfig, results: Sequence[StudyRowResult]) ->
 
 
 def study_results_json(config: StudyConfig, results: Sequence[StudyRowResult]) -> dict:
+    """JSON-ready dict; an infinite loss ratio is encoded as the string "inf"."""
     return {
         "n_samples": config.n_samples,
         "seed": config.master_seed,
@@ -235,7 +237,7 @@ def study_results_json(config: StudyConfig, results: Sequence[StudyRowResult]) -
                 "real_param": res.data_id,
                 "loss": res.loss.kind,
                 "features": [k.name for k in res.features],
-                "loss_ratio": res.loss_ratio,
+                "loss_ratio": _json_number(res.loss_ratio),
                 "windows": {
                     w.label: p
                     for w, p in zip(config.windows, res.window_probabilities)

@@ -1,12 +1,15 @@
+import argparse
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from netselect import derive_seed, generate_er, parse_model_spec, sample_graph, write_edge_list
-from netselect.cli import load_graph_file, main
+from netselect.cli import build_parser, load_graph_file, main
 
 
 def write_json(path, obj):
@@ -94,12 +97,17 @@ SBM = {"type": "sbm", "n": 10, "k": 2, "p_in": 0.5, "p_out": 0.1}
     dict(SBM, k=11),
     dict(SBM, membership={"dirichlet": math.nan}),
     dict(SBM, membership={"dirichlet": math.inf}),
+    dict(SBM, n=6, k={"grid": {"values": [2, 3]}}, membership=[0, 1, 2, 3, 4, 5]),
+    dict(LOGLINEAR, n=10, terms=[{"weight": 5.0, "f": "individual_edge", "u": 0, "v": 50},
+                                 {"weight": -1.0, "f": "individual_edge", "u": -1, "v": 3}]),
+    dict(LOGLINEAR, terms=[{"weight": 1.0, "f": "individual_edge", "u": -1, "v": 3}]),
 ], ids=["powerlaw_infinite_alpha", "sbm_infinite_k", "powerlaw_infinite_grid_value",
         "infinite_grid_weight", "thin_string", "thin_float",
         "thin_bool", "negative_burn_in", "nan_lambda", "nan_weight",
         "er_nan_point", "powerlaw_nan_point", "powerlaw_infinite_point",
         "sbm_nan_point_k", "sbm_infinite_point_k", "sbm_huge_grid_k", "sbm_k_above_n",
-        "dirichlet_nan", "dirichlet_infinite"])
+        "dirichlet_nan", "dirichlet_infinite", "membership_above_least_grid_k",
+        "individual_edge_outside_n", "individual_edge_negative_u"])
 def test_generate_rejects_bad_spec_numbers(tmp_path, capsys, spec):
     """Numbers of the right JSON type but unusable value fail when the spec is
     parsed (exit 2), not with a traceback or a silently meaningless draw."""
@@ -432,6 +440,41 @@ def test_simulate_requires_config(tmp_path):
     assert run_cli(["simulate"]) == 2
 
 
+def test_simulate_reads_out_and_format_from_its_config(tmp_path):
+    study = json.loads(Path(study_config(tmp_path, n=30, samples=5)).read_text())
+    out = tmp_path / "table.json"
+    cfg = write_json(tmp_path / "cfg.json", dict(study, out=str(out), format="json", seed=None))
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    table = json.loads(out.read_text())
+    assert table["n_samples"] == 5 and table["seed"] == 0  # a null key counts as absent
+    cfg = write_json(tmp_path / "cfg.json", dict(study, out=str(tmp_path / "x"), format="xml"))
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_json_is_strict_when_a_loss_ratio_is_infinite(tmp_path, capsys):
+    # The generating SBM draws exactly 2 blocks every time, so its expected
+    # block_count loss is 0 and the loss ratio is infinite.
+    cfg = write_json(tmp_path / "study.json", {
+        "n_samples": 10, "seed": 1,
+        "candidates": [
+            {"id": "alpha", "spec": {"type": "powerlaw", "n": 60,
+                                     "alpha": {"grid": {"values": [2.5, 3.0]}}}},
+            {"id": "k", "spec": {"type": "sbm", "n": 60, "p_in": 0.6, "p_out": 0.01,
+                                 "k": {"grid": {"values": [2]}}}}],
+        "rows": [{"data": {"id": "k", "spec": {"type": "sbm", "n": 60, "k": 2,
+                                               "p_in": 0.6, "p_out": 0.01}},
+                  "features": ["block_count"], "losses": ["zero_one", "quadratic"]}],
+    })
+    assert run_cli(["simulate", "--config", cfg, "--format", "json"]) == 0
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    rows = json.loads(capsys.readouterr().out, parse_constant=reject)["rows"]
+    assert [row["loss_ratio"] for row in rows] == ["inf", "inf"]
+
+
 def test_every_command_is_byte_equal_at_one_and_two_threads(tmp_path):
     data = make_data_graph(tmp_path, {"type": "sbm", "n": 30, "k": 3,
                                       "p_in": 0.4, "p_out": 0.05})
@@ -532,19 +575,65 @@ def test_flags_override_config(tmp_path, capsys):
     assert rows[0]["kind"] == "triangle_count"
 
 
+def test_grid_and_range_are_flags_only(tmp_path, capsys):
+    m = write_json(tmp_path / "m.json", {"type": "er", "n": 12, "p": 0.4})
+    cfg = write_json(tmp_path / "cfg.json", {"grid": ["p:0.9"], "range": ["link_density:2:3"],
+                                             "ranges": ["link_density:0:0.6"]})
+    assert run_cli(["elicit", "--config", cfg, "--model", m, "--samples", 10]) == 0
+    assert json.loads(capsys.readouterr().out)["ranges"][0]["per_model"]["m"][
+        "probability"] == 1.0
+
+
 @pytest.mark.parametrize("config, message", [
     ([{"features": ["link_density"]}], "must hold a JSON object"),
     ({"model_priors": 0.5}, "model_priors"),
     ({"features": 5}, "'features'"),
+    ({"model_priors": [0, 0]}, "model_priors"),
+    ({"format": "xml"}, "format must be json or csv"),
+    ({"loss": {"kind": "zero_one", "tolerance": math.nan}}, "tolerance"),
+    ({"loss": {"kind": "zero_one", "tolerance": []}}, "cannot parse loss"),
 ])
 def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):
     data = make_data_graph(tmp_path, {"type": "er", "n": 10, "p": 0.5})
     m = write_json(tmp_path / "m.json", {"type": "er", "n": 10, "p": 0.5})
     cfg = write_json(tmp_path / "cfg.json", config)
     assert run_cli(["compare", "--config", cfg, "--data", data, "--model", m,
-                    "--model2", m, "--samples", 5, "--seed", 0]) == 2
+                    "--model2", m, "--features", "link_density", "--samples", 5,
+                    "--seed", 0]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--features", "link_density"],
+    ["features", "--threads", "4"],
+    ["compare", "--range", "link_density:0:1"],
+    ["elicit", "--loss", "absolute"],
+    ["simulate", "--model", "m.json"],
+], ids=lambda argv: argv[0])
+def test_a_flag_the_command_does_not_read_is_an_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_parser():
+    """The README's per-command table lists exactly each command's flags, and
+    among its config keys every option its flags set (bar the flag-only ones)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|$", section, re.MULTILINE)
+    documented = {cmd: (set(re.findall(r"`(--[\w-]+)`", flags)),
+                        set(re.findall(r"`(\w+)`", keys))) for cmd, flags, keys in rows}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented.keys() == sub.choices.keys()
+    for cmd, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+        flags, keys = documented[cmd]
+        assert flags == {a.option_strings[0] for a in actions}, cmd
+        assert keys >= {a.dest for a in actions} - {"config", "grid", "range"}, cmd
 
 
 def test_missing_file_is_config_error():

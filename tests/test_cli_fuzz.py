@@ -3,9 +3,10 @@
 
 Inputs are tiny (n <= 30, at most 5 samples), so a few hundred commands run
 in seconds. Each key is drawn from valid values and from values of the wrong
-type or range, and goes to the command as a flag, as a config key, or not at
-all. Strings starting with "@" name fixture files and are resolved to paths
-when the command runs.
+type or range, and goes to the command as a flag (only if the command has
+that flag), as a config key, or not at all. Now and then the command also
+gets one flag it does not have, which must exit 2. Strings starting with "@"
+name fixture files and are resolved to paths when the command runs.
 """
 
 import itertools
@@ -54,6 +55,16 @@ STUDY = {
 STUDY_EDITS = [("n_samples", [2]), ("n_samples", 0), ("seed", "x"), ("threads", 2),
                ("threads", "2"), ("windows", [{"param": "k"}]), ("rows", 5),
                ("candidates", STUDY["candidates"][:1])]
+# The flags of each command besides --config and --out, which all of them take.
+FLAGS = {
+    "generate": {"model", "grid", "samples", "seed", "threads"},
+    "features": {"data", "features", "format"},
+    "compare": {"data", "model", "model2", "grid", "features", "loss", "samples", "seed",
+                "threads", "format", "plot-data"},
+    "elicit": {"model", "model2", "grid", "range", "samples", "seed", "threads", "format"},
+    "simulate": {"samples", "seed", "threads", "format"},
+}
+ALL_FLAGS = set().union(*FLAGS.values())
 TOKENS = ["link_density", "triangle_count", "global_clustering", "degree_entropy",
           "diameter", "block_count", "power_law_exponent"]
 
@@ -112,7 +123,8 @@ CONFIG_ONLY = {  # key -> (valid value, invalid value)
 
 @st.composite
 def invocations(draw):
-    """(argv, config or None, whether the config file wraps it in a list).
+    """(argv, config or None, whether the config file wraps it in a list,
+    whether argv holds a flag foreign to the command).
 
     About one key in eight gets an invalid value."""
     def invalid():
@@ -126,14 +138,14 @@ def invocations(draw):
             config.update([draw(st.sampled_from(STUDY_EDITS))])
     for key, (flag, value, bad_flag, bad_value) in KEYS.items():
         where = draw(choice(*["flag", "config"] * 4, "absent"))
-        if where == "flag":
+        if where == "flag" and key in FLAGS[command]:
             argv += [f"--{key}", draw(bad_flag if invalid() else flag)]
         elif where == "config":
             config[key] = draw(bad_value if invalid() else value)
     for key, (value, bad_value) in CONFIG_ONLY.items():
         if draw(st.booleans()):
             config[key] = draw(bad_value if invalid() else value)
-    if command in ("generate", "compare", "elicit") and draw(st.booleans()):
+    if "grid" in FLAGS[command] and draw(st.booleans()):
         grids = choice("p:0.1,0.2", "alpha:2.5,3", "k:2,3")
         argv += ["--grid", draw(choice("p:x", "bogus", "n:3") if invalid() else grids)]
     if command == "elicit" and draw(choice(True, True, False)):
@@ -141,11 +153,14 @@ def invocations(draw):
             argv += ["--range", item]
     if command == "compare" and draw(st.booleans()):
         argv += ["--plot-data", "@plots"]
-    if "samples" not in config and "--samples" not in argv:
+    if "samples" in FLAGS[command] and "samples" not in config and "--samples" not in argv:
         argv += ["--samples", "3"]  # keep every command small
     if command == "generate" or draw(st.booleans()):
         argv += ["--out", "@out"]
-    return argv, config or None, invalid()
+    foreign = draw(choice(*[False] * 15, True))  # about one command in sixteen
+    if foreign:
+        argv += [f"--{draw(st.sampled_from(sorted(ALL_FLAGS - FLAGS[command])))}", "@er.json"]
+    return argv, config or None, invalid(), foreign
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +197,7 @@ def test_every_cli_input_ends_in_a_documented_exit_code(fixtures, invocation):
             return {k: resolve(v) for k, v in value.items()}
         return value
 
-    argv, config, wrap = invocation
+    argv, config, wrap, foreign = invocation
     argv = resolve(argv)
     if config is not None:
         path = case / "config.json"
@@ -191,4 +206,4 @@ def test_every_cli_input_ends_in_a_documented_exit_code(fixtures, invocation):
         argv += ["--config", str(path)]
     code = run(argv)
     event(f"{argv[0]} exit {code}")
-    assert code in (0, 2, 3), argv
+    assert code == 2 if foreign else code in (0, 2, 3), argv

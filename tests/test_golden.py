@@ -54,11 +54,12 @@ def _specs():
     yield "loglinear_n12", LogLinear(12, 1.0, terms)
     yield "loglinear_n40", LogLinear(40, 0.5, terms, burn_in=4000, thin=500)
     yield "loglinear_n300", LogLinear(300, 0.2, terms, burn_in=20000, thin=1000)
-    # all four concordance terms; n = 1 and 2 are the degenerate chains
+    # all four concordance terms; n = 1 and 2 are the degenerate chains (the
+    # individual edge (0, 1) needs two nodes, and a one-node draw is edgeless)
     terms = ((-1.0, EdgeCountTerm()), (0.4, TriangleCountTerm()),
              (0.8, DegreeCountTerm(2)), (1.5, IndividualEdgeTerm(0, 1)))
     for n in (1, 2, 9, 12):
-        yield f"loglinear_terms4_n{n}", LogLinear(n, 1.0, terms)
+        yield f"loglinear_terms4_n{n}", LogLinear(n, 1.0, terms if n > 1 else terms[:3])
     terms = ((-0.8, EdgeCountTerm()), (0.6, DegreeCountTerm(3)),
              (2.0, IndividualEdgeTerm(31, 5)))
     yield "loglinear_degree_n40", LogLinear(40, 0.7, terms, burn_in=4000, thin=500)

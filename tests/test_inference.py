@@ -13,6 +13,7 @@ from netselect import (
     FeatureSamples,
     GridPrior,
     InvalidInput,
+    InvalidSpec,
     Kde,
     LossKind,
     PointPrior,
@@ -436,6 +437,23 @@ def test_self_comparison_is_indeterminate():
     assert report.combined_ratio == 1.0
     assert report.posterior_odds == 1.0
     assert report.decision is Decision.INDETERMINATE
+
+
+@pytest.mark.parametrize("priors", [(0.0, 0.0), (-1.0, 2.0), (math.nan, 1.0), (math.inf, 1.0)])
+def test_compare_rejects_model_priors_without_a_finite_positive_sum(priors):
+    spec = ErdosRenyi(12, PointPrior(0.4))
+    data = generate_er(12, 0.4, np.random.default_rng(11))
+    with pytest.raises(InvalidInput, match="model_priors"):
+        compare_models(data, spec, spec, [FeatureKind("link_density")],
+                       LossKind("quadratic"), n_samples=5, master_seed=0,
+                       model_priors=priors)
+
+
+def test_loss_tolerance_must_be_a_non_negative_number():
+    with pytest.raises(InvalidSpec, match="tolerance"):
+        LossKind("zero_one", math.nan)
+    with pytest.raises(InvalidSpec, match="cannot parse loss"):
+        LossKind.from_json({"kind": "zero_one", "tolerance": []})
 
 
 def test_shared_seed_stream_bf_exactly_one():
