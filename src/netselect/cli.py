@@ -274,8 +274,9 @@ def cmd_compare(opts: dict) -> int:
     kinds = _parse_features(opts.get("features"))
     loss = LossKind.from_json(opts.get("loss", "quadratic"))
     priors = opts.get("model_priors", [0.5, 0.5])
-    if len(priors) != 2 or not all(type(p) in (int, float) for p in priors):
-        raise InvalidSpec(f"model_priors must be two numbers, got {priors!r}")
+    if len(priors) != 2 or not all(type(p) in (int, float) and abs(p) <= sys.float_info.max
+                                   for p in priors):
+        raise InvalidSpec(f"model_priors must be two finite numbers, got {priors!r}")
 
     report = compare_models(
         graph, spec1, spec2, kinds, loss, opts.get("samples", DEFAULT_SAMPLES),

@@ -21,7 +21,6 @@ from .errors import InvalidSpec, UndefinedFeature
 from .graph import (  # noqa: F401
     Graph,
     _closed_neighbourhoods,
-    _edge_arrays,
     connected_components,
     degree_sequence,
     shortest_path_distances,
@@ -129,30 +128,21 @@ def _negative_inertia(h: np.ndarray) -> int:
     """Negative-eigenvalue count of a symmetric matrix via LDL^T inertia.
 
     Uses the Bunch-Kaufman factorization (LAPACK sytrf); by Sylvester's law
-    the block-diagonal factor carries the eigenvalue signs.
+    the block-diagonal factor carries the eigenvalue signs. Negative ``ipiv``
+    entries come in consecutive pairs, one pair per 2x2 block.
     """
     (sytrf,) = scipy.linalg.get_lapack_funcs(("sytrf",), (h,))
     ldu, ipiv, info = sytrf(h, lower=1)
     if info < 0:
         raise ValueError(f"sytrf failed with info={info}")
-    n = h.shape[0]
-    neg = 0
-    i = 0
-    while i < n:
-        if ipiv[i] > 0:  # 1x1 pivot block
-            neg += ldu[i, i] < 0.0
-            i += 1
-        else:  # 2x2 pivot block on rows i, i+1
-            a11 = ldu[i, i]
-            a22 = ldu[i + 1, i + 1]
-            a21 = ldu[i + 1, i]
-            det = a11 * a22 - a21 * a21
-            if det < 0.0:
-                neg += 1
-            elif a11 + a22 < 0.0:
-                neg += 2
-            i += 2
-    return int(neg)
+    d = ldu.diagonal()
+    i = np.flatnonzero(ipiv < 0)[::2]  # 2x2 pivot blocks on rows i, i + 1
+    det = d[i] * d[i + 1] - ldu[i + 1, i] * ldu[i + 1, i]
+    single = np.ones(len(d), dtype=bool)
+    single[i] = single[i + 1] = False
+    # a 2x2 block: one negative eigenvalue if det < 0, else two if its trace is < 0
+    return int(np.count_nonzero(d[single] < 0.0) + np.count_nonzero(det < 0.0)
+               + 2 * np.count_nonzero(~(det < 0.0) & (d[i] + d[i + 1] < 0.0)))
 
 
 def bethe_hessian(g: Graph, r: float) -> np.ndarray:
@@ -160,7 +150,8 @@ def bethe_hessian(g: Graph, r: float) -> np.ndarray:
     degrees = g.degrees
     n = g.node_count
     h = np.zeros((n, n))
-    h[np.repeat(np.arange(n), degrees), g.indices] = 1.0
+    h[g.lo, g.hi] = 1.0
+    h[g.hi, g.lo] = 1.0
     h *= -r
     idx = np.arange(n)
     h[idx, idx] += (r * r - 1.0) + degrees
@@ -255,12 +246,11 @@ def count_triangles(g: Graph) -> int:
     """
     if g._triangles is None:
         bits = _packed_adjacency(g)
-        us, vs = _edge_arrays(g)
         total = 0
-        for lo in range(0, len(us), _EDGE_CHUNK):
+        for lo in range(0, g.edge_count, _EDGE_CHUNK):
             hi = lo + _EDGE_CHUNK
-            common = np.take(bits, us[lo:hi], axis=0)
-            common &= np.take(bits, vs[lo:hi], axis=0)
+            common = np.take(bits, g.lo[lo:hi], axis=0)
+            common &= np.take(bits, g.hi[lo:hi], axis=0)
             total += int(_popcount(common).sum())
         object.__setattr__(g, "_triangles", total // 3)
     return g._triangles

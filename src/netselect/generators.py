@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidSpec
 from .features import count_triangles
-from .graph import Graph, _canonical_pairs, _from_pairs
+from .graph import Graph, _canonical_pairs
 
 _PAIR_CHUNK = 1 << 20  # max Bernoulli draws per RNG call when sampling pair sets
 
@@ -481,6 +481,7 @@ def _row_chunks(n: int, chunk_pairs: int) -> Iterator[list[int]]:
 
 _PAIR_INDEX_CACHE: dict = {}
 _PAIR_PROB_CACHE: dict = {}
+_LAST_UNIFORMS = (None, 0, None, None)  # (state before, size, uniforms, state after)
 
 
 def _remember(cache: dict, key, value):
@@ -498,14 +499,33 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
+def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``rng.random(size)``. From a PCG64 generator the vector is read-only,
+    and a call from the last call's full bit generator state and size reuses
+    it and moves ``rng`` on as the draw would have: grid points drawn from
+    one seed share the vector."""
+    global _LAST_UNIFORMS
+    if not isinstance(rng.bit_generator, np.random.PCG64):  # other states hold arrays
+        return rng.random(size)
+    before = rng.bit_generator.state
+    if _LAST_UNIFORMS[1] == size and _LAST_UNIFORMS[0] == before:
+        rng.bit_generator.state = _LAST_UNIFORMS[3]
+        return _LAST_UNIFORMS[2]
+    u = rng.random(size)
+    u.flags.writeable = False
+    _LAST_UNIFORMS = (before, size, u, rng.bit_generator.state)
+    return u
+
+
 def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator,
                        cache_key=None) -> Graph:
     """Draw each unordered pair independently.
 
     ``pair_probs(iu, ju)`` returns the per-pair probabilities (scalar or
     array) for row-major upper-triangle index arrays. Pairs are consumed in
-    row-major order in bounded chunks, so draws depend only on (n, rng state).
-    A ``cache_key`` says that ``pair_probs`` is fixed: its probabilities over
+    row-major order in bounded chunks, so draws depend only on (n, rng state);
+    a one-shot draw may reuse the last uniform vector (``_uniforms``). A
+    ``cache_key`` says that ``pair_probs`` is fixed: its probabilities over
     all pairs are then computed once per key and reused by later draws.
     """
     total_pairs = n * (n - 1) // 2
@@ -516,8 +536,8 @@ def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator,
             probs = pair_probs(iu, ju)
             if cache_key is not None:
                 _remember(_PAIR_PROB_CACHE, cache_key, probs)
-        hits = np.flatnonzero(rng.random(total_pairs) < probs)
-        return _from_pairs(n, iu[hits], ju[hits])
+        hits = np.flatnonzero(_uniforms(rng, total_pairs) < probs)
+        return Graph(n, iu[hits], ju[hits])
     # large n: bounded memory, same row-major consumption order
     los, his = [], []
     for rows in _row_chunks(n, _PAIR_CHUNK):
@@ -526,7 +546,7 @@ def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator,
         mask = rng.random(len(iu)) < pair_probs(iu, ju)
         los.append(iu[mask])
         his.append(ju[mask])
-    return _from_pairs(n, np.concatenate(los), np.concatenate(his))
+    return Graph(n, np.concatenate(los), np.concatenate(his))
 
 
 def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -598,7 +618,7 @@ def generate_from_degrees(degrees: Sequence[int], rng: np.random.Generator) -> G
         raise InvalidSpec("degree sum must be even")
     stubs = np.repeat(np.arange(n), degrees)
     rng.shuffle(stubs)
-    return _from_pairs(n, *_canonical_pairs(n, stubs[0::2], stubs[1::2]))
+    return Graph(n, *_canonical_pairs(n, stubs[0::2], stubs[1::2]))
 
 
 def default_burn_in(n: int) -> int:
@@ -689,7 +709,7 @@ def _snapshot(adj: list[int]) -> Graph:
     rows = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in adj),
                          dtype=np.uint8).reshape(n, width)
     mask = np.unpackbits(rows, axis=1, count=n, bitorder="little")
-    return _from_pairs(n, *np.nonzero(np.triu(mask, 1)))
+    return Graph(n, *np.nonzero(np.triu(mask, 1)))
 
 
 def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:

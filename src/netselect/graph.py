@@ -1,16 +1,14 @@
-"""Simple undirected graphs with dense 0-based node ids, stored as CSR arrays.
+"""Simple undirected graphs with dense 0-based node ids, stored as edge arrays.
 
-A ``Graph`` is an immutable value: the neighbours of v are
-``indices[indptr[v]:indptr[v + 1]]`` in ascending order, ``degrees`` is
-``diff(indptr)``, and all three arrays are read-only. Every producer --
-``build_graph``, ``read_edge_list``, ``induced_subgraph``, ``toggle_edge`` and
-the generators -- goes through ``_from_pairs``, which takes canonical u < v
-edge arrays in row-major order and builds the CSR with one stable argsort
-(reversed pairs ahead of the forward ones keep every row sorted). Edits such
-as ``toggle_edge`` return a new graph and share nothing with the old one.
-
-Whole-graph kernels (triangle count, diameter, the Bethe-Hessian) read the
-arrays directly; ``features`` packs the rows into 64-bit words so that
+A ``Graph`` is an immutable value: its edges are the distinct pairs
+``(lo[i], hi[i])`` with lo < hi in row-major order, and ``degrees`` is
+``bincount(lo) + bincount(hi)``. Every producer -- ``build_graph``,
+``read_edge_list``, ``induced_subgraph``, ``toggle_edge`` and the generators --
+hands the constructor such arrays; edits return a new graph that shares
+nothing with the old one. The CSR adjacency (row v is
+``indices[indptr[v]:indptr[v + 1]]``, ascending) is built on first access and
+kept, so a draw whose features read only degrees never builds it. All arrays
+are read-only. ``features`` packs the CSR rows into 64-bit words so that
 neighbourhood intersections and unions are word-wise AND/OR in numpy.
 """
 
@@ -32,42 +30,71 @@ class Graph:
     """An undirected simple graph: no self-loops, no parallel edges.
 
     Build graphs with ``build_graph`` (or a generator); the constructor takes
-    a ready CSR pair and checks nothing. ``_triangles`` memoizes the triangle
-    count once ``features.count_triangles`` has computed it.
+    canonical row-major lo < hi edge arrays (int64) and checks nothing.
+    ``_triangles`` memoizes the triangle count once
+    ``features.count_triangles`` has computed it, and ``_csr`` the
+    (indptr, indices) pair once a kernel has read it.
     """
 
     node_count: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     degrees: np.ndarray = field(init=False)
     edge_count: int = field(init=False)
     _triangles: Optional[int] = field(init=False, default=None)
+    _csr: Optional[tuple[np.ndarray, np.ndarray]] = field(init=False, default=None)
 
     def __post_init__(self):
-        degrees = np.diff(self.indptr)
-        for a in (self.indptr, self.indices, degrees):
+        n = self.node_count
+        degrees = np.bincount(self.lo, minlength=n) + np.bincount(self.hi, minlength=n)
+        for a in (self.lo, self.hi, degrees):
             a.flags.writeable = False
         object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "edge_count", len(self.indices) // 2)
+        object.__setattr__(self, "edge_count", len(self.lo))
 
     def __reduce__(self):  # unpickled arrays would otherwise be writeable
-        return Graph, (self.node_count, self.indptr, self.indices)
+        return Graph, (self.node_count, self.lo, self.hi)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.node_count == other.node_count
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices))
+                and np.array_equal(self.lo, other.lo)
+                and np.array_equal(self.hi, other.hi))
 
     def __hash__(self):
         return hash((self.node_count, self.edge_count))
+
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices), built on first use. Listing each edge as (hi, lo)
+        ahead of (lo, hi) and sorting stably by source leaves every row sorted:
+        the smaller neighbours, from the reversed pairs, come first."""
+        if self._csr is None:
+            src = np.concatenate([self.hi, self.lo])
+            dst = np.concatenate([self.lo, self.hi])
+            # a stable sort of 16-bit keys is a radix sort
+            keys = src.astype(np.uint16) if self.node_count <= 1 << 16 else src
+            indices = dst[np.argsort(keys, kind="stable")]
+            indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+            np.cumsum(self.degrees, out=indptr[1:])
+            indptr.flags.writeable = indices.flags.writeable = False
+            object.__setattr__(self, "_csr", (indptr, indices))
+        return self._csr
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr_arrays()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr_arrays()[1]
 
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
     def _row(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        indptr, indices = self._csr_arrays()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self._row(u)
@@ -76,8 +103,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending (u, v) order."""
-        lo, hi = _edge_arrays(self)
-        return zip(lo.tolist(), hi.tolist())
+        return zip(self.lo.tolist(), self.hi.tolist())
 
     @property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -88,24 +114,6 @@ class Graph:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
-def _from_pairs(node_count: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
-    """The graph with edges (lo[i], hi[i]); no checks.
-
-    The pairs must satisfy lo < hi, be distinct and be sorted row-major (by
-    lo, then hi). Listing each edge as (hi, lo) ahead of (lo, hi) and sorting
-    stably by source then leaves every row sorted: a row's smaller neighbours
-    come from the reversed pairs, in ascending order, before its larger ones.
-    """
-    src = np.concatenate([hi, lo])
-    dst = np.concatenate([lo, hi])
-    # a stable sort of 16-bit keys is a radix sort
-    keys = src.astype(np.uint16) if node_count <= 1 << 16 else src
-    indices = dst[np.argsort(keys, kind="stable")]
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-    return Graph(node_count, indptr, indices)
-
-
 def _canonical_pairs(node_count: int, u: np.ndarray,
                      v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pairs {u[i], v[i]} with u[i] != v[i] as row-major (lo, hi) arrays."""
@@ -114,13 +122,6 @@ def _canonical_pairs(node_count: int, u: np.ndarray,
     first = np.ones(len(keys), dtype=bool)  # np.unique, without its overhead
     first[1:] = keys[1:] != keys[:-1]
     return np.divmod(keys[first], max(node_count, 1))
-
-
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): the edges with lo < hi, in row-major order."""
-    src = np.repeat(np.arange(g.node_count), g.degrees)
-    upper = src < g.indices
-    return src[upper], g.indices[upper]
 
 
 def _closed_neighbourhoods(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +162,7 @@ def build_graph(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise InvalidEdge(f"self-loop ({a}, {b}) is not allowed")
         _check_node(a, node_count)
         _check_node(b, node_count)
-    return _from_pairs(node_count, *_canonical_pairs(node_count, u, v))
+    return Graph(node_count, *_canonical_pairs(node_count, u, v))
 
 
 def toggle_edge(g: Graph, u: int, v: int) -> Graph:
@@ -171,15 +172,14 @@ def toggle_edge(g: Graph, u: int, v: int) -> Graph:
     _check_node(u, g.node_count)
     _check_node(v, g.node_count)
     n = g.node_count
-    lo, hi = _edge_arrays(g)
-    keys = lo * n + hi
+    keys = g.lo * n + g.hi
     key = min(u, v) * n + max(u, v)
     i = int(np.searchsorted(keys, key))
     if i < len(keys) and keys[i] == key:
         keys = np.delete(keys, i)
     else:
         keys = np.insert(keys, i, key)
-    return _from_pairs(n, *np.divmod(keys, n))
+    return Graph(n, *np.divmod(keys, n))
 
 
 def degree_sequence(g: Graph) -> np.ndarray:
@@ -195,10 +195,9 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
         _check_node(int(bad[0]), g.node_count)
     relabel = np.full(g.node_count, -1, dtype=np.int64)
     relabel[keep] = np.arange(len(keep))
-    lo, hi = _edge_arrays(g)
-    lo, hi = relabel[lo], relabel[hi]
+    lo, hi = relabel[g.lo], relabel[g.hi]
     inside = (lo >= 0) & (hi >= 0)  # relabel is increasing: order is kept
-    return _from_pairs(len(keep), lo[inside], hi[inside])
+    return Graph(len(keep), lo[inside], hi[inside])
 
 
 def shortest_path_distances(g: Graph, source: int) -> list[Optional[int]]:

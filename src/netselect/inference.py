@@ -16,7 +16,6 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain, islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -231,7 +230,7 @@ class LossKind:
         if isinstance(obj, dict):
             try:
                 return cls(obj["kind"], float(obj.get("tolerance", 0.0)))
-            except TypeError:
+            except (TypeError, OverflowError):
                 raise InvalidSpec(f"cannot parse loss from {obj!r}") from None
         raise InvalidSpec(f"cannot parse loss from {obj!r}")
 
@@ -308,47 +307,61 @@ def pool_map(fn, jobs: list[tuple], workers: int) -> list:
         return [f.result() for f in futures]
 
 
-def _draw_chunk(spec: ModelSpec, kinds: Optional[tuple[FeatureKind, ...]],
-                seeds: tuple[int, ...], first: int) -> list:
-    """The draws from ``seeds``, which are samples first, first + 1, ...:
-    graphs when ``kinds`` is None, else one feature row per graph.
+def _draw_chunk(group: tuple[ModelSpec, ...], kinds: Optional[tuple[FeatureKind, ...]],
+                seeds: tuple[int, ...], first: int) -> list[list]:
+    """Per spec of ``group``, its draws from ``seeds`` (samples first,
+    first + 1, ...): graphs when ``kinds`` is None, else feature rows.
 
-    An undefined feature names the model, sample index and seed of its draw.
+    Each seed's generator is built once and reset to its start state before
+    each spec, so a draw depends only on its (spec, seed). An undefined
+    feature names the model, sample index and seed of its draw.
     """
-    out = []
+    out = [[] for _ in group]
     for index, seed in enumerate(seeds, start=first):
-        g = sample_graph(spec, np.random.default_rng(seed))
-        if kinds is None:
-            out.append(g)
-            continue
-        try:
-            out.append([float(extract_feature(g, kind)) for kind in kinds])
-        except UndefinedFeature as exc:
-            raise UndefinedFeature(
-                f"{exc} (model {json.dumps(model_spec_to_json(spec))}, "
-                f"sample {index}, seed {seed})") from None
+        rng = np.random.default_rng(seed)
+        start = rng.bit_generator.state
+        for spec, draws in zip(group, out):
+            rng.bit_generator.state = start
+            g = sample_graph(spec, rng)
+            if kinds is None:
+                draws.append(g)
+                continue
+            try:
+                draws.append([float(extract_feature(g, kind)) for kind in kinds])
+            except UndefinedFeature as exc:
+                raise UndefinedFeature(
+                    f"{exc} (model {json.dumps(model_spec_to_json(spec))}, "
+                    f"sample {index}, seed {seed})") from None
     return out
 
 
-def _simulate(specs: Sequence[ModelSpec], seeds: Sequence[tuple[int, ...]],
+def _simulate(groups: Sequence[Sequence[ModelSpec]], seeds: Sequence[tuple[int, ...]],
               kinds: Optional[tuple[FeatureKind, ...]], workers: int) -> list:
-    """Per spec, its draws from its seed tuple, all made in one ``pool_map``
-    call: a list of graphs when ``kinds`` is None, else a dict kind->values.
+    """Per group, per spec, its draws from the group's seed tuple, all made in
+    one ``pool_map`` call: a list of graphs when ``kinds`` is None, else a
+    dict kind->values.
 
-    The jobs are (spec, sample-chunk) pairs, about ``4 * workers`` in all and
-    at least one per spec. Each draw depends only on its (spec, seed), so the
-    output does not depend on ``workers``.
+    A group is specs that share a seed stream: the grid points of one family,
+    or the models of one comparison. The jobs are (group, sample-chunk)
+    pairs, about ``4 * workers`` in all and at least one per group. Each draw
+    depends only on its (spec, seed), so the output does not depend on
+    ``workers``.
     """
-    chunks_per_spec = -(-max(1, workers) * 4 // len(specs))
-    jobs = []
-    for spec, stream in zip(specs, seeds):
-        step = -(-len(stream) // chunks_per_spec)
-        jobs += [(spec, kinds, stream[lo:lo + step], lo) for lo in range(0, len(stream), step)]
-    draws = chain.from_iterable(pool_map(_draw_chunk, jobs, workers))
-    out = [list(islice(draws, len(stream))) for stream in seeds]
+    chunks_per_group = -(-max(1, workers) * 4 // len(groups))
+    out = [[[] for _ in group] for group in groups]
+    jobs, owners = [], []
+    for draws, group, stream in zip(out, groups, seeds):
+        step = -(-len(stream) // chunks_per_group)
+        for lo in range(0, len(stream), step):
+            jobs.append((tuple(group), kinds, stream[lo:lo + step], lo))
+            owners.append(draws)
+    for draws, chunk in zip(owners, pool_map(_draw_chunk, jobs, workers)):
+        for spec_draws, part in zip(draws, chunk):
+            spec_draws.extend(part)
     if kinds is None:
         return out
-    return [dict(zip(kinds, np.asarray(rows, dtype=float).T)) for rows in out]
+    return [[dict(zip(kinds, np.asarray(rows, dtype=float).T)) for rows in draws]
+            for draws in out]
 
 
 def _seed_stream(master_seed: int, n_samples: int) -> tuple[int, ...]:
@@ -365,7 +378,7 @@ def prior_predictive(spec: ModelSpec, n_samples: int, master_seed: int,
     pure function of (spec, n_samples, master_seed) no matter how the work is
     scheduled.
     """
-    return _simulate([spec], [_seed_stream(master_seed, n_samples)], None, workers)[0]
+    return _simulate([[spec]], [_seed_stream(master_seed, n_samples)], None, workers)[0][0]
 
 
 def simulate_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKind],
@@ -378,8 +391,7 @@ def simulate_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[Featur
     extracted from the same graph, so kinds are jointly sampled. Output is
     independent of ``workers``.
     """
-    seeds = _seed_stream(master_seed, n_samples)
-    return _simulate(specs, [seeds] * len(specs), tuple(kinds), workers)
+    return _simulate([specs], [_seed_stream(master_seed, n_samples)], tuple(kinds), workers)[0]
 
 
 def simulate_feature_matrix(spec: ModelSpec, kinds: Sequence[FeatureKind],
@@ -453,13 +465,11 @@ def grid_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKin
     All points of all specs are drawn in one pool.
     """
     grids = [grid_points(spec) for spec in specs]
-    point_specs, point_seeds = [], []
-    for spec, (param, grid), master_seed in zip(specs, grids, master_seeds):
-        seeds = _seed_stream(master_seed, n_per_point)
-        point_specs.extend(fix_grid_point(spec, param, v) for v in grid.values)
-        point_seeds.extend([seeds] * len(grid.values))
-    matrices = iter(_simulate(point_specs, point_seeds, tuple(kinds), workers))
-    return [(param, grid, [next(matrices) for _ in grid.values]) for param, grid in grids]
+    groups = [[fix_grid_point(spec, param, v) for v in grid.values]
+              for spec, (param, grid) in zip(specs, grids)]
+    seeds = [_seed_stream(master_seed, n_per_point) for master_seed in master_seeds]
+    matrices = _simulate(groups, seeds, tuple(kinds), workers)
+    return [(param, grid, m) for (param, grid), m in zip(grids, matrices)]
 
 
 def grid_evidences(observations: Sequence[tuple[FeatureKind, float]],

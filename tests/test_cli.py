@@ -592,6 +592,8 @@ def test_grid_and_range_are_flags_only(tmp_path, capsys):
     ({"format": "xml"}, "format must be json or csv"),
     ({"loss": {"kind": "zero_one", "tolerance": math.nan}}, "tolerance"),
     ({"loss": {"kind": "zero_one", "tolerance": []}}, "cannot parse loss"),
+    ({"loss": {"kind": "zero_one", "tolerance": 10 ** 400}}, "cannot parse loss"),
+    ({"model_priors": [10 ** 400, 1]}, "model_priors"),  # beyond float range
 ])
 def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):
     data = make_data_graph(tmp_path, {"type": "er", "n": 10, "p": 0.5})

@@ -13,7 +13,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from netselect.cli import main
@@ -87,6 +87,10 @@ good_ranges = st.lists(choice("link_density:0:0.5", "triangle_count:0:5",
 bad_ranges = st.lists(choice("link_density:0:0.5", "degree_entropy:1:0",
                              "link_density:x:1", "nope", "bogus:0:1"),
                       min_size=1, max_size=2)
+# An integer beyond float range. Numeric config keys draw it where it is a
+# finite request; sample and thread counts do not, as they would ask for that
+# much work.
+HUGE = 10 ** 400
 # key -> (valid flag, valid config value, invalid flag, invalid config value);
 # flag values are strings; a config value of None counts as absent.
 KEYS = {
@@ -103,17 +107,20 @@ KEYS = {
                         [{"kind": "power_law_exponent", "d_min": 0}])),
     "samples": (choice("1", "2", "5"), choice(1, 3, 5),
                 choice("0", "-1", "x"), choice(0, "2", 2.5, [3], True)),
-    "seed": (choice("0", "7"), choice(0, 7, None), choice("-1", "x"), choice(-3, "x", 1.5)),
+    "seed": (choice("0", "7"), choice(0, 7, None, HUGE), choice("-1", "x"),
+             choice(-3, "x", 1.5, -HUGE)),
     "threads": (choice("1", "2"), choice(1, 2), choice("0", "x"), choice("2", 1.5, 0)),
     "loss": (choice("quadratic", "absolute", "zero_one"),
              choice("absolute", {"kind": "zero_one", "tolerance": 0.1}),
              choice("bogus"),
-             choice(5, {"tolerance": 1}, {"kind": "quadratic", "tolerance": []})),
+             choice(5, {"tolerance": 1}, {"kind": "quadratic", "tolerance": []},
+                    {"kind": "zero_one", "tolerance": HUGE})),
     "format": (choice("json", "csv"), choice("json", "csv"), choice("xml"), choice(5)),
 }
 CONFIG_ONLY = {  # key -> (valid value, invalid value)
     "model_priors": (choice([0.5, 0.5], [1, 0], [0.2, 0.8]),
-                     choice([0.2, 0.8, 1], [1], 0.5, ["a", 1], [-1, 2], {"a": 1})),
+                     choice([0.2, 0.8, 1], [1], 0.5, ["a", 1], [-1, 2], {"a": 1},
+                            [HUGE, 1], [0.5, -HUGE])),
     "models": (st.one_of(st.lists(good_spec, max_size=2), st.none()),
                choice(5, ["@missing.json"], [3])),
     "ranges": (good_ranges, choice([{"feature": "global_clustering", "lo": 0, "hi": 1}],
@@ -182,6 +189,9 @@ def run(argv) -> int:
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(invocations())
+@example((["compare", "--data", "@er.tsv", "--model", "@er.json", "--model2", "@sbm.json",
+           "--features", "link_density", "--samples", "3"], {"model_priors": [HUGE, 1]},
+          False, False))
 def test_every_cli_input_ends_in_a_documented_exit_code(fixtures, invocation):
     work, counter = fixtures
     case = work / f"case{next(counter)}"

@@ -173,6 +173,49 @@ def test_block_count_inertia_matches_eigendecomposition():
         assert _negative_inertia(h) == int(np.sum(np.linalg.eigvalsh(h) < -1e-10))
 
 
+def _inertia_by_pivot_walk(ldu, ipiv):
+    """Negative eigenvalues of the block-diagonal LDL^T factor, one block at a time."""
+    neg, i = 0, 0
+    while i < len(ipiv):
+        if ipiv[i] > 0:  # 1x1 pivot block
+            neg += ldu[i, i] < 0.0
+            i += 1
+        else:  # 2x2 pivot block on rows i, i+1
+            a11, a22, a21 = ldu[i, i], ldu[i + 1, i + 1], ldu[i + 1, i]
+            det = a11 * a22 - a21 * a21
+            if det < 0.0:
+                neg += 1
+            elif a11 + a22 < 0.0:
+                neg += 2
+            i += 2
+    return int(neg)
+
+
+def test_negative_inertia_matches_eigenvalue_count_with_2x2_pivots():
+    import scipy.linalg
+    from netselect.features import _negative_inertia
+    rng = np.random.default_rng(12)
+    cases = []
+    for _ in range(40):  # symmetric indefinite, small diagonal: 2x2 pivots are common
+        n = int(rng.integers(1, 25))
+        a = rng.normal(size=(n, n))
+        h = a + a.T
+        h[np.diag_indices(n)] *= rng.choice([0.0, 0.05, 1.0])
+        cases += [h, np.round(h)]  # rounding adds exact zeros and ties
+    for _ in range(20):
+        g = random_graph(int(rng.integers(4, 40)), rng.uniform(0.05, 0.6), rng)
+        cases.append(bethe_hessian(g, rng.uniform(0.5, 3.0)))
+    two_by_two = 0
+    for h in cases:
+        ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(h, lower=1)
+        two_by_two += bool((ipiv < 0).any())
+        assert _negative_inertia(h) == _inertia_by_pivot_walk(ldu, ipiv)
+        eig = np.linalg.eigvalsh(h)
+        if np.min(np.abs(eig), initial=1.0) > 1e-8:  # else no reliable sign
+            assert _negative_inertia(h) == int((eig < 0).sum())
+    assert two_by_two >= 10
+
+
 def test_bethe_hessian_matches_definition():
     rng = np.random.default_rng(10)
     for n in (1, 7, 65):

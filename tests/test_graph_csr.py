@@ -1,5 +1,7 @@
 """Property tests of the CSR graph constructor against a set-based oracle."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,12 @@ from hypothesis import strategies as st
 
 import netselect.generators as generators
 from netselect import (
+    FeatureKind,
     GridPrior,
     Sbm,
     build_graph,
+    count_triangles,
+    extract_feature,
     generate_from_degrees,
     induced_subgraph,
     read_edge_list,
@@ -164,3 +169,23 @@ def test_cached_block_probabilities_give_the_uncached_draws(monkeypatch):
     assert cached == fresh
     assert generators._PAIR_PROB_CACHE == {}  # no key, nothing cached
 
+
+
+@pytest.mark.parametrize("token", ["power_law_exponent", "degree_entropy", "link_density"])
+def test_degree_features_leave_the_csr_unbuilt(token):
+    g = sample_graph(Sbm(60, 3, p_in=0.3, p_out=0.05), np.random.default_rng(1))
+    extract_feature(g, FeatureKind(token))
+    assert g._csr is None
+    assert g.indptr[-1] == 2 * g.edge_count and g._csr is not None
+
+
+def test_pickle_carries_only_the_edge_arrays_and_every_array_is_read_only():
+    g = sample_graph(Sbm(40, 2, p_in=0.4, p_out=0.05), np.random.default_rng(2))
+    count_triangles(g)  # builds the CSR and memoizes the count
+    assert g.__reduce__() == (type(g), (g.node_count, g.lo, g.hi))
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._csr is None and copy._triangles is None
+    assert count_triangles(copy) == count_triangles(g)
+    for graph in (g, copy):
+        for a in (graph.lo, graph.hi, graph.degrees, graph.indptr, graph.indices):
+            assert not a.flags.writeable

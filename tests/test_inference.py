@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import netselect.generators as generators
 from netselect import (
     Decision,
     DegenerateRatio,
+    DirichletMembership,
     DiscretePmf,
     ErdosRenyi,
     FeatureKind,
@@ -17,8 +21,11 @@ from netselect import (
     Kde,
     LossKind,
     PointPrior,
+    PowerLaw,
+    Sbm,
     UndefinedBayesFactor,
     UndefinedPosterior,
+    UniformPrior,
     bayes_factor,
     build_graph,
     combined_loss_ratio,
@@ -28,6 +35,7 @@ from netselect import (
     estimate_density,
     evidence,
     expected_loss,
+    extract_feature,
     generate_er,
     param_posterior,
     pool_posteriors,
@@ -35,10 +43,13 @@ from netselect import (
     range_probability,
     report_from_json,
     report_to_json,
+    sample_graph,
     shard_cells,
     silverman_bandwidth,
     simulate_feature_matrix,
 )
+from netselect.inference import fix_grid_point, grid_feature_matrices, grid_points
+from netselect.seeds import derive_seed
 
 
 def discrete_samples(values, kind="triangle_count"):
@@ -532,3 +543,91 @@ def test_simulate_feature_matrix_worker_independence():
     parallel = simulate_feature_matrix(spec, kinds, 16, master_seed=4, workers=2)
     for kind in kinds:
         assert np.array_equal(serial[kind], parallel[kind])
+
+
+# --------------------------------------------------------------------------
+# Shared generators and uniforms across grid points
+# --------------------------------------------------------------------------
+
+def _without_uniform_memo(monkeypatch):
+    monkeypatch.setattr(generators, "_uniforms", lambda rng, size: rng.random(size))
+
+
+def _fresh_point_matrices(spec, kinds, n_per_point, master_seed):
+    """Per grid point, each sample drawn from a fresh generator of its seed."""
+    param, grid = grid_points(spec)
+    out = []
+    for value in grid.values:
+        point = fix_grid_point(spec, param, value)
+        rows = [[float(extract_feature(sample_graph(
+                    point, np.random.default_rng(derive_seed(master_seed, i))), kind))
+                 for kind in kinds] for i in range(n_per_point)]
+        out.append(dict(zip(kinds, np.asarray(rows).T)))
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    ErdosRenyi(24, GridPrior((0.1, 0.25, 0.4))),
+    Sbm(24, GridPrior((2.0, 3.0, 4.0)), p_in=0.5, p_out=0.1),
+    Sbm(24, GridPrior((2.0, 3.0)), p_in=0.5, p_out=0.1,
+        membership=DirichletMembership(1.0)),
+    PowerLaw(24, GridPrior((2.5, 3.0, 3.5))),
+], ids=["er", "sbm", "sbm_dirichlet", "powerlaw"])
+def test_grid_draws_equal_per_point_draws_from_fresh_generators(monkeypatch, spec):
+    kinds = [FeatureKind("link_density"), FeatureKind("triangle_count"),
+             FeatureKind("degree_entropy")]
+    shared = [grid_feature_matrices([spec, spec], kinds, 7, [3, 4], workers)
+              for workers in (1, 2)]
+    _without_uniform_memo(monkeypatch)
+    for (_, _, matrices), master_seed in zip(shared[0], (3, 4)):
+        expected = _fresh_point_matrices(spec, kinds, 7, master_seed)
+        for got, want in zip(matrices, expected):
+            for kind in kinds:
+                assert np.array_equal(got[kind], want[kind])
+    for (_, _, serial), (_, _, parallel) in zip(*shared):
+        for a, b in zip(serial, parallel):
+            assert all(np.array_equal(a[kind], b[kind]) for kind in kinds)
+
+
+def test_grid_points_of_one_seed_share_one_read_only_uniform_vector():
+    points = [ErdosRenyi(20, PointPrior(p)) for p in (0.1, 0.5)]
+    rng = np.random.default_rng(derive_seed(9, 0))
+    start = rng.bit_generator.state
+    sample_graph(points[0], rng)
+    uniforms, after = generators._LAST_UNIFORMS[2], rng.bit_generator.state
+    rng.bit_generator.state = start
+    sample_graph(points[1], rng)
+    assert generators._LAST_UNIFORMS[2] is uniforms and not uniforms.flags.writeable
+    assert rng.bit_generator.state == after
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(2, 9), st.booleans()),
+                min_size=1, max_size=8))
+def test_uniform_memo_never_serves_a_stale_vector(draws):
+    # seeds alternate and repeat, sizes change, and some specs draw a
+    # parameter before their pairs (a uniform prior on p); the last draw is
+    # made twice, so the memo is hit at least once
+    for seed, n, consumes in draws + draws[-1:]:
+        spec = ErdosRenyi(n, UniformPrior(0.3, 0.6) if consumes else PointPrior(0.45))
+        rng = np.random.default_rng(seed)
+        g = sample_graph(spec, rng)
+        ref = np.random.default_rng(seed)
+        p = ref.uniform(0.3, 0.6) if consumes else 0.45
+        iu, ju = np.triu_indices(n, 1)
+        hit = ref.random(len(iu)) < p
+        assert g == build_graph(n, zip(iu[hit].tolist(), ju[hit].tolist()))
+        assert rng.random() == ref.random()  # the generator moved on as a fresh draw would
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox,
+                                           np.random.MT19937])
+def test_pair_draws_repeat_from_one_state_with_any_bit_generator(bit_generator):
+    # Philox and MT19937 states hold arrays, which a state comparison must not meet
+    spec = ErdosRenyi(12, PointPrior(0.4))
+    rng = np.random.Generator(bit_generator(5))
+    start = rng.bit_generator.state
+    first = sample_graph(spec, rng)
+    rng.bit_generator.state = start
+    assert sample_graph(spec, rng) == first
+    assert first == sample_graph(spec, np.random.Generator(bit_generator(5)))
