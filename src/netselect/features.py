@@ -9,10 +9,10 @@ count and diameter are integer-valued; the rest are real-valued.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidSpec, UndefinedFeature
 # connected_components and shortest_path_distances are not called here any
@@ -124,6 +124,22 @@ def fit_power_law_mle(g: Graph, d_min: int = DEFAULT_D_MIN) -> float:
     return power_law_mle(degree_sequence(g), d_min)
 
 
+def _lapack():
+    """``scipy.linalg``, imported on first use: only block_count needs it.
+
+    Before the import, an unset ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+    or ``MKL_NUM_THREADS`` is set to 1: a 200x200 ``sytrf`` is slower on two
+    BLAS threads, and pool workers each starting their own would oversubscribe
+    the cores. A count the user set wins; a host that loaded scipy first keeps
+    its own.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    import scipy.linalg
+
+    return scipy.linalg
+
+
 def _negative_inertia(h: np.ndarray) -> int:
     """Negative-eigenvalue count of a symmetric matrix via LDL^T inertia.
 
@@ -131,7 +147,7 @@ def _negative_inertia(h: np.ndarray) -> int:
     the block-diagonal factor carries the eigenvalue signs. Negative ``ipiv``
     entries come in consecutive pairs, one pair per 2x2 block.
     """
-    (sytrf,) = scipy.linalg.get_lapack_funcs(("sytrf",), (h,))
+    (sytrf,) = _lapack().get_lapack_funcs(("sytrf",), (h,))
     ldu, ipiv, info = sytrf(h, lower=1)
     if info < 0:
         raise ValueError(f"sytrf failed with info={info}")

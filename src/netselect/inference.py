@@ -28,7 +28,7 @@ from .errors import (
     UndefinedFeature,
     UndefinedPosterior,
 )
-from .features import BLOCK_COUNT_METHOD, FeatureKind, extract_feature
+from .features import BLOCK_COUNT_METHOD, FeatureKind, _lapack, extract_feature
 from .generators import (
     GRID_PARAMS,
     GridPrior,
@@ -295,14 +295,15 @@ def range_probability(samples: FeatureSamples, lo: float, hi: float) -> tuple[fl
 # --------------------------------------------------------------------------
 
 def pool_map(fn, jobs: list[tuple], workers: int) -> list:
-    """Order-preserving map, optionally over a process pool."""
+    """Order-preserving map, optionally over a process pool of at most one
+    worker per job."""
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-fork platforms
         ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), mp_context=ctx) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [f.result() for f in futures]
 
@@ -355,6 +356,8 @@ def _simulate(groups: Sequence[Sequence[ModelSpec]], seeds: Sequence[tuple[int, 
         for lo in range(0, len(stream), step):
             jobs.append((tuple(group), kinds, stream[lo:lo + step], lo))
             owners.append(draws)
+    if workers > 1 and any(kind.name == "block_count" for kind in kinds or ()):
+        _lapack()  # forked workers inherit the loaded one-thread LAPACK
     for draws, chunk in zip(owners, pool_map(_draw_chunk, jobs, workers)):
         for spec_draws, part in zip(draws, chunk):
             spec_draws.extend(part)

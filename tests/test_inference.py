@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netselect.generators as generators
+import netselect.inference as inference
 from netselect import (
     Decision,
     DegenerateRatio,
@@ -429,6 +431,35 @@ def test_consensus_zero_variance_capped():
 def test_consensus_needs_two_draws():
     with pytest.raises(InvalidInput):
         consensus_merge([[1.0]])
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("n_jobs, workers", [(2, 6), (5, 3), (3, 3)])
+def test_pool_starts_at_most_one_worker_per_job(monkeypatch, n_jobs, workers):
+    monkeypatch.setattr(inference, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    jobs = [(-i,) for i in range(1, n_jobs + 1)]
+    assert inference.pool_map(abs, jobs, workers) == list(range(1, n_jobs + 1))
+    assert _RecordingPool.sizes == [min(workers, n_jobs)]
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,94 @@
+"""scipy loads only for block_count, on one BLAS thread unless the user set a
+count, and before a pool forks its workers. Each check runs in a fresh
+interpreter, since the test process itself may have imported scipy already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+PRELUDE = """
+import json, os, sys
+import netselect, netselect.cli, netselect.study
+from netselect import ErdosRenyi, FeatureKind, build_graph, extract_feature
+import netselect.inference as inference
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+def thread_vars():
+    return {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+"""
+
+
+def _run(code: str, **env_vars: str) -> dict:
+    """Run PRELUDE + ``code`` in a fresh interpreter whose environment has
+    none of the BLAS thread variables but ``env_vars``; return the JSON object
+    on its last output line."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_scipy():
+    assert _run("print(json.dumps({'scipy': scipy_loaded()}))") == {"scipy": False}
+
+
+def test_features_other_than_block_count_load_no_scipy():
+    out = _run("""
+g = build_graph(30, [(i, j) for i in range(30) for j in range(i + 1, 30) if (i * j) % 7 == 1])
+values = [extract_feature(g, FeatureKind(k)) for k in ("link_density", "diameter", "triangle_count")]
+print(json.dumps({"scipy": scipy_loaded(), "env": thread_vars()}))
+""")
+    assert out == {"scipy": False, "env": dict.fromkeys(THREAD_VARS)}
+
+
+BLOCK_COUNT = """
+g = build_graph(30, [(i, j) for i in range(30) for j in range(i + 1, 30) if (i + j) % 3 == 0])
+extract_feature(g, FeatureKind("block_count"))
+print(json.dumps({"scipy": "scipy.linalg" in sys.modules, "env": thread_vars()}))
+"""
+
+
+def test_block_count_loads_scipy_on_one_blas_thread():
+    out = _run(BLOCK_COUNT)
+    assert out == {"scipy": True, "env": dict.fromkeys(THREAD_VARS, "1")}
+
+
+def test_a_thread_count_the_user_set_wins():
+    out = _run(BLOCK_COUNT, OPENBLAS_NUM_THREADS="3")
+    assert out["scipy"]
+    assert out["env"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
+                          "MKL_NUM_THREADS": "1"}
+
+
+SPY = """
+seen = []
+
+def spy(fn, jobs, workers):
+    seen.append("scipy.linalg" in sys.modules)
+    return [fn(*job) for job in jobs]
+
+inference.pool_map = spy
+inference.simulate_feature_matrices([ErdosRenyi(20, 0.3)], [FeatureKind(KIND)], 8, 1, workers=2)
+print(json.dumps({"at_pool_map": seen, "after": scipy_loaded()}))
+"""
+
+
+@pytest.mark.parametrize("kind, at_pool_map, after", [
+    ("block_count", [True], True),
+    ("link_density", [False], False),
+])
+def test_parent_loads_scipy_before_the_pool_only_for_block_count(kind, at_pool_map, after):
+    out = _run(SPY.replace("KIND", repr(kind)))
+    assert out == {"at_pool_map": at_pool_map, "after": after}
