@@ -408,7 +408,8 @@ _OPTIONS = {
     "samples": ("--samples", dict(type=int, help="prior-predictive sample count")),
     "n_samples": ("--samples", dict(type=int, help="the study's n_samples")),
     "seed": ("--seed", dict(type=int, help="master seed")),
-    "threads": ("--threads", dict(type=int, help="worker process count (at most one per job)")),
+    "threads": ("--threads", dict(type=int, help="worker process count (at most one per "
+                                  "job and one per usable core)")),
     "format": ("--format", dict(metavar="{json,csv}")),
     "out": ("--out", dict(help="output path (default: stdout)")),
     "plot_data": ("--plot-data", dict(help="directory for density/histogram CSVs")),

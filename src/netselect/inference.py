@@ -10,10 +10,14 @@ and consensus merging of per-shard draws live here too.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import json
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -291,21 +295,90 @@ def range_probability(samples: FeatureSamples, lo: float, hi: float) -> tuple[fl
 
 
 # --------------------------------------------------------------------------
-# Simulation plumbing: seeds -> graphs -> feature rows, one pool per call
+# Simulation plumbing: seeds -> graphs -> feature rows, one warm pool
 # --------------------------------------------------------------------------
 
+#: The process's fork pool and its size; at most one is alive at a time.
+_POOL: Optional[ProcessPoolExecutor] = None
+_POOL_SIZE = 0
+
+
+def shutdown_pool() -> None:
+    """Shut the process's worker pool down, if one is running; the next
+    pooled ``pool_map`` forks a fresh one."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown(cancel_futures=True)
+
+
+atexit.register(shutdown_pool)
+
+
+def _open_fds() -> list[int]:
+    """The descriptors above stderr that this process has open."""
+    fds = []
+    for fd in map(int, os.listdir("/proc/self/fd")):
+        try:
+            os.fstat(fd)
+        except OSError:  # the listing's own descriptor, closed again
+            continue
+        if fd > 2:
+            fds.append(fd)
+    return fds
+
+
+def _close_fds(fds: list[int]) -> None:
+    """Pool initializer: close the descriptors a worker inherited from its
+    parent. A warm worker lives as long as the parent, so a pipe end it kept
+    would hide the parent's close from the process at the other end."""
+    for fd in fds:
+        with contextlib.suppress(OSError):
+            os.close(fd)
+
+
+def _pool(size: int) -> ProcessPoolExecutor:
+    """The pool of ``size`` workers, forking it (after shutting down one of
+    another size) when it is not running yet."""
+    global _POOL, _POOL_SIZE
+    if _POOL is None or _POOL_SIZE != size:
+        # A fork pool starts all its workers at its first submit; never fork
+        # while another pool's manager thread runs.
+        shutdown_pool()
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-fork platforms
+            ctx = multiprocessing.get_context()
+        _POOL = ProcessPoolExecutor(max_workers=size, mp_context=ctx,
+                                    initializer=_close_fds, initargs=(_open_fds(),))
+        _POOL_SIZE = size
+    return _POOL
+
+
 def pool_map(fn, jobs: list[tuple], workers: int) -> list:
-    """Order-preserving map, optionally over a process pool of at most one
-    worker per job."""
+    """Order-preserving map, optionally over the process's worker pool.
+
+    With ``workers > 1`` and more than one job, the jobs run on a fork pool
+    of ``min(workers, len(jobs), usable cores)`` workers that lives for the
+    process: a later call of the same size reuses its warm workers, which see
+    module state as it was when they forked. When a job fails, the jobs not
+    yet started are cancelled before the error is raised; a pool whose
+    worker died is dropped, so the next call forks a fresh one.
+    """
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
+    futures = []
     try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), mp_context=ctx) as pool:
+        pool = _pool(min(workers, len(jobs), len(os.sched_getaffinity(0))))
         futures = [pool.submit(fn, *job) for job in jobs]
         return [f.result() for f in futures]
+    except BrokenProcessPool:
+        shutdown_pool()
+        raise
+    except BaseException:
+        for f in futures:
+            f.cancel()
+        raise
 
 
 def _draw_chunk(group: tuple[ModelSpec, ...], kinds: Optional[tuple[FeatureKind, ...]],

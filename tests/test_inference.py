@@ -1,6 +1,14 @@
 import concurrent.futures
 import itertools
 import math
+import multiprocessing.connection
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,32 +442,100 @@ def test_consensus_needs_two_draws():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs jobs inline."""
+    """Stands in for ProcessPoolExecutor: records its size and its shutdowns,
+    runs jobs inline."""
 
     sizes = []
+    shutdowns = []
 
-    def __init__(self, max_workers, mp_context=None):
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
         self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
         future.set_result(fn(*args))
         return future
 
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append(self)
 
-@pytest.mark.parametrize("n_jobs, workers", [(2, 6), (5, 3), (3, 3)])
-def test_pool_starts_at_most_one_worker_per_job(monkeypatch, n_jobs, workers):
+
+CORES = 4
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Pools are recording stand-ins, on a host with ``CORES`` usable cores."""
     monkeypatch.setattr(inference, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "shutdowns", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(CORES)))
+    return _RecordingPool
+
+
+@pytest.mark.parametrize("n_jobs, workers", [(2, 6), (5, 3), (3, 3), (100, 500)])
+def test_pool_starts_at_most_one_worker_per_job(recording_pool, n_jobs, workers):
     jobs = [(-i,) for i in range(1, n_jobs + 1)]
-    assert inference.pool_map(abs, jobs, workers) == list(range(1, n_jobs + 1))
-    assert _RecordingPool.sizes == [min(workers, n_jobs)]
+    for _ in range(2):  # the second call reuses the pool
+        assert inference.pool_map(abs, jobs, workers) == list(range(1, n_jobs + 1))
+    assert recording_pool.sizes == [min(workers, n_jobs, CORES)]
+    assert recording_pool.shutdowns == []
+
+
+def test_a_pool_of_another_size_replaces_the_last(recording_pool):
+    jobs = [(-1,), (-2,), (-3,)]
+    for workers in (2, 3, 3, 2):
+        assert inference.pool_map(abs, jobs, workers) == [1, 2, 3]
+    assert recording_pool.sizes == [2, 3, 2]
+    assert len(recording_pool.shutdowns) == 2  # each old pool, before the next forks
+
+
+def _fail_first_or_mark(directory, i):
+    if i == 0:
+        raise ValueError("job 0 fails")
+    time.sleep(0.02)
+    (Path(directory) / str(i)).touch()
+    return i
+
+
+def test_a_failing_job_cancels_the_jobs_not_started(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    with pytest.raises(ValueError, match="job 0 fails"):
+        inference.pool_map(_fail_first_or_mark, [(str(first), i) for i in range(60)], 2)
+    pool = inference._POOL
+    assert inference.pool_map(_fail_first_or_mark, [(str(second), i) for i in (1, 2, 3)],
+                              2) == [1, 2, 3]
+    assert inference._POOL is pool
+    # Only the jobs already handed to a worker ran; the rest were cancelled.
+    assert len(list(first.iterdir())) < 20
+
+
+def test_a_pool_whose_worker_died_is_dropped():
+    jobs = [(-i,) for i in range(1, 5)]
+    assert inference.pool_map(abs, jobs, 2) == [1, 2, 3, 4]
+    pid, process = next(iter(inference._POOL._processes.items()))
+    os.kill(pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([process.sentinel], timeout=30)
+    with pytest.raises(BrokenProcessPool):
+        inference.pool_map(abs, jobs, 2)
+    assert inference._POOL is None
+    assert inference.pool_map(abs, jobs, 2) == [abs(*job) for job in jobs]
+
+
+def test_pool_workers_do_not_hold_the_parents_pipes():
+    # A child reading its stdin to the end: it exits only once every copy of
+    # the pipe's write end is closed, pool workers' copies included.
+    reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                              stdin=subprocess.PIPE)
+    try:
+        assert inference.pool_map(abs, [(-1,), (-2,)], 2) == [1, 2]
+        reader.stdin.close()
+        assert reader.wait(timeout=30) == 0
+    finally:
+        reader.kill()
+        reader.wait()
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """scipy loads only for block_count, on one BLAS thread unless the user set a
-count, and before a pool forks its workers. Each check runs in a fresh
-interpreter, since the test process itself may have imported scipy already.
+count, and before a pool forks its workers; a worker forked before scipy
+loaded runs it on one thread too, and no worker outlives its interpreter.
+Each check runs in a fresh interpreter, since the test process itself may
+have imported scipy already.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,55 @@ print(json.dumps({"at_pool_map": seen, "after": scipy_loaded()}))
 def test_parent_loads_scipy_before_the_pool_only_for_block_count(kind, at_pool_map, after):
     out = _run(SPY.replace("KIND", repr(kind)))
     assert out == {"at_pool_map": at_pool_map, "after": after}
+
+
+LATE_FORK = """
+def probe():
+    return "scipy.linalg" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")
+
+def values(kind, workers):
+    kinds = [FeatureKind(kind)]
+    return inference.simulate_feature_matrices([ErdosRenyi(30, 0.2)], kinds, 8, 1,
+                                               workers=workers)[0][kinds[0]].tolist()
+
+values("link_density", 2)  # forks the pool before scipy is loaded
+forked_before_scipy = not scipy_loaded()
+pooled = values("block_count", 2)
+probes = inference.pool_map(probe, [()] * 8, 2)
+print(json.dumps({"forked_before_scipy": forked_before_scipy,
+                  "same": pooled == values("block_count", 1),
+                  "loaded_env": sorted({env for loaded, env in probes if loaded})}))
+"""
+
+
+def test_workers_forked_before_scipy_load_it_on_one_blas_thread():
+    assert _run(LATE_FORK) == {"forked_before_scipy": True, "same": True,
+                               "loaded_env": ["1"]}
+
+
+WORKER_PIDS = """
+pids = []
+for _ in range(2):
+    inference.simulate_feature_matrices([ErdosRenyi(20, 0.3)], [FeatureKind("link_density")],
+                                        8, 1, workers=2)
+    pids.append(sorted(inference._POOL._processes))
+print(json.dumps({"pids": pids}))
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_no_pool_worker_outlives_its_interpreter():
+    first, second = _run(WORKER_PIDS)["pids"]
+    assert second == first  # the second call reused the pool
+    assert len(first) == min(2, len(os.sched_getaffinity(0)))
+    deadline = time.monotonic() + 10
+    while any(map(_running, first)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, first))
