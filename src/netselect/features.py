@@ -112,11 +112,11 @@ def power_law_mle(values, d_min: int) -> float:
     """
     if d_min < 1:
         raise InvalidSpec(f"d_min must be >= 1, got {d_min}")
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values)
     included = values[values >= d_min]
     if len(included) == 0:
         raise UndefinedFeature(f"no value reaches d_min={d_min}")
-    return float(1.0 + len(included) / np.sum(np.log(included / (d_min - 0.5))))
+    return float(1.0 + len(included) / np.log(included / (d_min - 0.5)).sum())
 
 
 def fit_power_law_mle(g: Graph, d_min: int = DEFAULT_D_MIN) -> float:
@@ -204,34 +204,6 @@ def estimate_block_count(g: Graph, k_max: int) -> int:
 #: 16 * _EDGE_CHUNK * ceil(n / 64) bytes on dense graphs.
 _EDGE_CHUNK = 1 << 14
 
-# SWAR masks, as 0-d arrays: numpy applies these faster than uint64 scalars
-_M1, _M2, _M4, _H01 = (np.array(m, dtype=np.uint64) for m in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-_S1, _S2, _S4, _S56 = (np.array(s, dtype=np.uint64) for s in (1, 2, 4, 56))
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, computed in place in ``x`` and returned.
-
-    SWAR: bit counts of 2-, 4- and 8-bit fields, then one multiply sums the
-    eight byte counts into the top byte. The steps share one temporary the
-    size of ``x``.
-    """
-    t = x >> _S1
-    t &= _M1
-    x -= t
-    np.right_shift(x, _S2, out=t)
-    t &= _M2
-    x &= _M2
-    x += t
-    np.right_shift(x, _S4, out=t)
-    x += t
-    x &= _M4
-    x *= _H01
-    x >>= _S56
-    return x
-
-
 def _packed_adjacency(g: Graph) -> np.ndarray:
     """n x ceil(n / 64) uint64 bitset whose row v has bit u set iff u ~ v.
 
@@ -267,7 +239,7 @@ def count_triangles(g: Graph) -> int:
             hi = lo + _EDGE_CHUNK
             common = np.take(bits, g.lo[lo:hi], axis=0)
             common &= np.take(bits, g.hi[lo:hi], axis=0)
-            total += int(_popcount(common).sum())
+            total += int(np.bitwise_count(common).sum())
         object.__setattr__(g, "_triangles", total // 3)
     return g._triangles
 
@@ -318,7 +290,7 @@ def diameter(g: Graph) -> int:
     if g.node_count < 1:
         raise UndefinedFeature("diameter needs at least one node")
     ecc, reach = _eccentricities(g)
-    sizes = _popcount(reach).sum(axis=1)
+    sizes = np.bitwise_count(reach).sum(axis=1)
     return int(ecc[sizes == sizes.max()].max())
 
 

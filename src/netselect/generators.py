@@ -481,22 +481,32 @@ def _row_chunks(n: int, chunk_pairs: int) -> Iterator[list[int]]:
 
 _PAIR_INDEX_CACHE: dict = {}
 _PAIR_PROB_CACHE: dict = {}
+_CACHE_BYTES = 1 << 25  # per cache; the arrays of the least recently used entries go first
 _LAST_UNIFORMS = (None, 0, None, None)  # (state before, size, uniforms, state after)
 
 
-def _remember(cache: dict, key, value):
-    if len(cache) > 8:  # keep the caches tiny
-        cache.clear()
+def _remember(cache: dict, key, value: tuple):
+    """Store the tuple of arrays ``value`` as ``cache``'s most recently used
+    entry, then drop the least recently used entries while the cache's arrays
+    hold more than ``_CACHE_BYTES`` (the newest entry always stays)."""
     cache[key] = value
+    while len(cache) > 1 and sum(a.nbytes for v in cache.values() for a in v) > _CACHE_BYTES:
+        del cache[next(iter(cache))]
+    return value
+
+
+def _recall(cache: dict, key):
+    """The entry under ``key``, now the most recently used one; None if absent."""
+    value = cache.pop(key, None)
+    if value is not None:
+        cache[key] = value
     return value
 
 
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major strict upper-triangle indices, cached for reuse across draws."""
-    cached = _PAIR_INDEX_CACHE.get(n)
-    if cached is None:
-        cached = _remember(_PAIR_INDEX_CACHE, n, np.triu_indices(n, 1))
-    return cached
+    return (_recall(_PAIR_INDEX_CACHE, n)
+            or _remember(_PAIR_INDEX_CACHE, n, np.triu_indices(n, 1)))
 
 
 def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -517,6 +527,13 @@ def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
     return u
 
 
+def _draw_pairs(n: int, iu: np.ndarray, ju: np.ndarray, probs,
+                rng: np.random.Generator) -> Graph:
+    """The graph of the pairs (iu[i], ju[i]) whose uniform falls below probs[i]."""
+    hits = np.flatnonzero(_uniforms(rng, len(iu)) < probs)
+    return Graph(n, iu[hits], ju[hits])
+
+
 def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator,
                        cache_key=None) -> Graph:
     """Draw each unordered pair independently.
@@ -526,18 +543,17 @@ def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator,
     row-major order in bounded chunks, so draws depend only on (n, rng state);
     a one-shot draw may reuse the last uniform vector (``_uniforms``). A
     ``cache_key`` says that ``pair_probs`` is fixed: its probabilities over
-    all pairs are then computed once per key and reused by later draws.
+    all pairs are then computed once per key and kept, with the pair indices,
+    as ``_PAIR_PROB_CACHE[cache_key] = (iu, ju, probs)`` for later draws.
     """
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= _PAIR_CHUNK:
-        iu, ju = _pair_indices(n)
-        probs = _PAIR_PROB_CACHE.get(cache_key) if cache_key is not None else None
-        if probs is None:
-            probs = pair_probs(iu, ju)
+    if n * (n - 1) // 2 <= _PAIR_CHUNK:
+        cached = _recall(_PAIR_PROB_CACHE, cache_key)  # None is never a key
+        if cached is None:
+            iu, ju = _pair_indices(n)
+            cached = (iu, ju, pair_probs(iu, ju))
             if cache_key is not None:
-                _remember(_PAIR_PROB_CACHE, cache_key, probs)
-        hits = np.flatnonzero(_uniforms(rng, total_pairs) < probs)
-        return Graph(n, iu[hits], ju[hits])
+                _remember(_PAIR_PROB_CACHE, cache_key, cached)
+        return _draw_pairs(n, *cached, rng)
     # large n: bounded memory, same row-major consumption order
     los, his = [], []
     for rows in _row_chunks(n, _PAIR_CHUNK):
@@ -616,6 +632,13 @@ def generate_from_degrees(degrees: Sequence[int], rng: np.random.Generator) -> G
         raise InvalidSpec("a degree exceeds n - 1")
     if degrees.sum() % 2 == 1:
         raise InvalidSpec("degree sum must be even")
+    return _pair_stubs(degrees, rng)
+
+
+def _pair_stubs(degrees: np.ndarray, rng: np.random.Generator) -> Graph:
+    """``generate_from_degrees`` for an int64 sequence already known to be
+    valid, as ``sample_powerlaw_degrees`` makes them."""
+    n = len(degrees)
     stubs = np.repeat(np.arange(n), degrees)
     rng.shuffle(stubs)
     return Graph(n, *_canonical_pairs(n, stubs[0::2], stubs[1::2]))
@@ -719,25 +742,24 @@ def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:
     if isinstance(spec, Sbm):
         k = spec.k if isinstance(spec.k, int) else int(round(sample_parameter(spec.k, rng)))
         # a fixed membership fixes the pair probabilities for this k
-        cache_key = (spec, k)
-        if isinstance(spec.membership, tuple):
-            z = np.asarray(spec.membership, dtype=np.int64)
-        elif isinstance(spec.membership, DirichletMembership):
-            props = rng.dirichlet(np.full(k, spec.membership.alpha))
-            z = rng.choice(k, size=spec.n, p=props)
-            cache_key = None
-        else:
-            z = equal_blocks(spec.n, k)
+        key = None if isinstance(spec.membership, DirichletMembership) else (spec, k)
+        cached = key and _recall(_PAIR_PROB_CACHE, key)
+        if cached:
+            return _draw_pairs(spec.n, *cached, rng)
         if spec.edge_probs is not None:
-            mat = np.asarray(spec.edge_probs, dtype=float)
+            mat = spec.edge_probs
         else:
             mat = np.full((k, k), spec.p_out, dtype=float)
             np.fill_diagonal(mat, spec.p_in)
-        return generate_sbm(spec.n, k, z, mat, rng, cache_key)
+        if key is None:
+            props = rng.dirichlet(np.full(k, spec.membership.alpha))
+            z = rng.choice(k, size=spec.n, p=props)
+        else:
+            z = equal_blocks(spec.n, k) if spec.membership is None else spec.membership
+        return generate_sbm(spec.n, k, z, mat, rng, key)
     if isinstance(spec, PowerLaw):
         alpha = sample_parameter(spec.alpha, rng)
-        degrees = sample_powerlaw_degrees(spec.n, alpha, spec.d_min, rng)
-        return generate_from_degrees(degrees, rng)
+        return _pair_stubs(sample_powerlaw_degrees(spec.n, alpha, spec.d_min, rng), rng)
     if isinstance(spec, LogLinear):
         return mh_loglinear_sample(spec, count=1, rng=rng)[0]
     raise InvalidSpec(f"unknown model spec {spec!r}")

@@ -2,7 +2,7 @@
 
 A ``Graph`` is an immutable value: its edges are the distinct pairs
 ``(lo[i], hi[i])`` with lo < hi in row-major order, and ``degrees`` is
-``bincount(lo) + bincount(hi)``. Every producer -- ``build_graph``,
+``bincount(concatenate((lo, hi)))``. Every producer -- ``build_graph``,
 ``read_edge_list``, ``induced_subgraph``, ``toggle_edge`` and the generators --
 hands the constructor such arrays; edits return a new graph that shares
 nothing with the old one. The CSR adjacency (row v is
@@ -46,7 +46,7 @@ class Graph:
 
     def __post_init__(self):
         n = self.node_count
-        degrees = np.bincount(self.lo, minlength=n) + np.bincount(self.hi, minlength=n)
+        degrees = np.bincount(np.concatenate((self.lo, self.hi)), minlength=n)
         for a in (self.lo, self.hi, degrees):
             a.flags.writeable = False
         object.__setattr__(self, "degrees", degrees)

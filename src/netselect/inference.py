@@ -14,10 +14,7 @@ import atexit
 import contextlib
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -298,8 +295,10 @@ def range_probability(samples: FeatureSamples, lo: float, hi: float) -> tuple[fl
 # Simulation plumbing: seeds -> graphs -> feature rows, one warm pool
 # --------------------------------------------------------------------------
 
-#: The process's fork pool and its size; at most one is alive at a time.
-_POOL: Optional[ProcessPoolExecutor] = None
+#: The process's fork pool (a ProcessPoolExecutor) and its size; at most one
+#: is alive at a time. multiprocessing and concurrent.futures load with the
+#: first pool, so a process that never pools never imports them.
+_POOL = None
 _POOL_SIZE = 0
 
 
@@ -337,11 +336,14 @@ def _close_fds(fds: list[int]) -> None:
             os.close(fd)
 
 
-def _pool(size: int) -> ProcessPoolExecutor:
+def _pool(size: int):
     """The pool of ``size`` workers, forking it (after shutting down one of
     another size) when it is not running yet."""
     global _POOL, _POOL_SIZE
     if _POOL is None or _POOL_SIZE != size:
+        import concurrent.futures
+        import multiprocessing
+
         # A fork pool starts all its workers at its first submit; never fork
         # while another pool's manager thread runs.
         shutdown_pool()
@@ -349,8 +351,8 @@ def _pool(size: int) -> ProcessPoolExecutor:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             ctx = multiprocessing.get_context()
-        _POOL = ProcessPoolExecutor(max_workers=size, mp_context=ctx,
-                                    initializer=_close_fds, initargs=(_open_fds(),))
+        _POOL = concurrent.futures.ProcessPoolExecutor(
+            max_workers=size, mp_context=ctx, initializer=_close_fds, initargs=(_open_fds(),))
         _POOL_SIZE = size
     return _POOL
 
@@ -367,6 +369,8 @@ def pool_map(fn, jobs: list[tuple], workers: int) -> list:
     """
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
+    from concurrent.futures.process import BrokenProcessPool
+
     futures = []
     try:
         pool = _pool(min(workers, len(jobs), len(os.sched_getaffinity(0))))
@@ -382,16 +386,18 @@ def pool_map(fn, jobs: list[tuple], workers: int) -> list:
 
 
 def _draw_chunk(group: tuple[ModelSpec, ...], kinds: Optional[tuple[FeatureKind, ...]],
-                seeds: tuple[int, ...], first: int) -> list[list]:
-    """Per spec of ``group``, its draws from ``seeds`` (samples first,
-    first + 1, ...): graphs when ``kinds`` is None, else feature rows.
+                master_seed: int, first: int, stop: int) -> list[list]:
+    """Per spec of ``group``, its draws of samples first, ..., stop - 1, sample
+    i from seed ``derive_seed(master_seed, i)``: graphs when ``kinds`` is
+    None, else feature rows.
 
     Each seed's generator is built once and reset to its start state before
     each spec, so a draw depends only on its (spec, seed). An undefined
     feature names the model, sample index and seed of its draw.
     """
     out = [[] for _ in group]
-    for index, seed in enumerate(seeds, start=first):
+    for index in range(first, stop):
+        seed = derive_seed(master_seed, index)
         rng = np.random.default_rng(seed)
         start = rng.bit_generator.state
         for spec, draws in zip(group, out):
@@ -409,28 +415,30 @@ def _draw_chunk(group: tuple[ModelSpec, ...], kinds: Optional[tuple[FeatureKind,
     return out
 
 
-def _simulate(groups: Sequence[Sequence[ModelSpec]], seeds: Sequence[tuple[int, ...]],
-              kinds: Optional[tuple[FeatureKind, ...]], workers: int) -> list:
-    """Per group, per spec, its draws from the group's seed tuple, all made in
-    one ``pool_map`` call: a list of graphs when ``kinds`` is None, else a
-    dict kind->values.
+def _simulate(groups: Sequence[Sequence[ModelSpec]], master_seeds: Sequence[int],
+              n_samples: int, kinds: Optional[tuple[FeatureKind, ...]], workers: int) -> list:
+    """Per group, per spec, its ``n_samples`` draws from the group's master
+    seed, all made in one ``pool_map`` call: a list of graphs when ``kinds``
+    is None, else a dict kind->values.
 
     A group is specs that share a seed stream: the grid points of one family,
-    or the models of one comparison. The jobs are (group, sample-chunk)
-    pairs, about ``4 * workers`` in all and at least one per group. Each draw
-    depends only on its (spec, seed), so the output does not depend on
-    ``workers``.
+    or the models of one comparison. The jobs are (group, kinds, master seed,
+    first, stop) tuples, about 4 per worker of the pool (``workers``, capped
+    at the usable cores) in all and at least one per group; each job derives
+    its own seeds. Each draw depends only on its (spec, seed), so the output
+    does not depend on ``workers``.
     """
-    chunks_per_group = -(-max(1, workers) * 4 // len(groups))
-    out = [[[] for _ in group] for group in groups]
-    jobs, owners = [], []
-    for draws, group, stream in zip(out, groups, seeds):
-        step = -(-len(stream) // chunks_per_group)
-        for lo in range(0, len(stream), step):
-            jobs.append((tuple(group), kinds, stream[lo:lo + step], lo))
-            owners.append(draws)
+    if n_samples < 1:
+        raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
+    size = min(workers, len(os.sched_getaffinity(0))) if workers > 1 else 1
+    step = -(-n_samples // -(-size * 4 // len(groups)))
+    jobs = [(tuple(group), kinds, master_seed, lo, min(lo + step, n_samples))
+            for group, master_seed in zip(groups, master_seeds)
+            for lo in range(0, n_samples, step)]
     if workers > 1 and any(kind.name == "block_count" for kind in kinds or ()):
         _lapack()  # forked workers inherit the loaded one-thread LAPACK
+    out = [[[] for _ in group] for group in groups]
+    owners = [draws for draws in out for _ in range(0, n_samples, step)]
     for draws, chunk in zip(owners, pool_map(_draw_chunk, jobs, workers)):
         for spec_draws, part in zip(draws, chunk):
             spec_draws.extend(part)
@@ -438,12 +446,6 @@ def _simulate(groups: Sequence[Sequence[ModelSpec]], seeds: Sequence[tuple[int, 
         return out
     return [[dict(zip(kinds, np.asarray(rows, dtype=float).T)) for rows in draws]
             for draws in out]
-
-
-def _seed_stream(master_seed: int, n_samples: int) -> tuple[int, ...]:
-    if n_samples < 1:
-        raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
-    return tuple(derive_seed(master_seed, i) for i in range(n_samples))
 
 
 def prior_predictive(spec: ModelSpec, n_samples: int, master_seed: int,
@@ -454,7 +456,7 @@ def prior_predictive(spec: ModelSpec, n_samples: int, master_seed: int,
     pure function of (spec, n_samples, master_seed) no matter how the work is
     scheduled.
     """
-    return _simulate([[spec]], [_seed_stream(master_seed, n_samples)], None, workers)[0][0]
+    return _simulate([[spec]], [master_seed], n_samples, None, workers)[0][0]
 
 
 def simulate_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKind],
@@ -467,7 +469,7 @@ def simulate_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[Featur
     extracted from the same graph, so kinds are jointly sampled. Output is
     independent of ``workers``.
     """
-    return _simulate([specs], [_seed_stream(master_seed, n_samples)], tuple(kinds), workers)[0]
+    return _simulate([specs], [master_seed], n_samples, tuple(kinds), workers)[0]
 
 
 def simulate_feature_matrix(spec: ModelSpec, kinds: Sequence[FeatureKind],
@@ -543,8 +545,7 @@ def grid_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKin
     grids = [grid_points(spec) for spec in specs]
     groups = [[fix_grid_point(spec, param, v) for v in grid.values]
               for spec, (param, grid) in zip(specs, grids)]
-    seeds = [_seed_stream(master_seed, n_per_point) for master_seed in master_seeds]
-    matrices = _simulate(groups, seeds, tuple(kinds), workers)
+    matrices = _simulate(groups, master_seeds, n_per_point, tuple(kinds), workers)
     return [(param, grid, m) for (param, grid), m in zip(grids, matrices)]
 
 

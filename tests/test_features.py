@@ -135,6 +135,28 @@ def test_mle_undefined_on_empty_graph():
         fit_power_law_mle(build_graph(3, []), 1)
 
 
+def _mle_of_float_cast(values, d_min):
+    """The exponent as computed from the values cast to float first; None if
+    no value reaches d_min."""
+    values = np.asarray(values, dtype=float)
+    included = values[values >= d_min]
+    if len(included) == 0:
+        return None
+    return float(1.0 + len(included) / np.sum(np.log(included / (d_min - 0.5))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 400), max_size=250), st.integers(1, 8))
+def test_mle_on_integer_degrees_is_bit_equal_to_the_float_cast_formula(values, d_min):
+    degrees = np.asarray(values, dtype=np.int64)
+    want = _mle_of_float_cast(degrees, d_min)
+    if want is None:
+        with pytest.raises(UndefinedFeature):
+            power_law_mle(degrees, d_min)
+    else:
+        assert power_law_mle(degrees, d_min) == want  # exact, not approx
+
+
 def test_mle_scale_consistency_on_zeta_tails():
     # Discrete power-law (Zipf) samples conditioned on >= 6, where the
     # d_min - 0.5 correction is accurate.

@@ -1,6 +1,7 @@
 """Property tests of the CSR graph constructor against a set-based oracle."""
 
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,19 +12,24 @@ import netselect.generators as generators
 from netselect import (
     FeatureKind,
     GridPrior,
+    PointPrior,
+    PowerLaw,
     Sbm,
     build_graph,
     count_triangles,
     extract_feature,
     generate_from_degrees,
+    generate_sbm,
     induced_subgraph,
     read_edge_list,
     sample_graph,
     sample_parameter,
+    sample_powerlaw_degrees,
     toggle_edge,
     write_edge_list,
 )
-from netselect.generators import _sample_pair_graph, _snapshot
+from netselect.generators import _pair_stubs, _sample_pair_graph, _snapshot
+from netselect.inference import fix_grid_point
 
 
 @st.composite
@@ -153,6 +159,15 @@ def test_chunked_pair_sampling_matches_one_shot(monkeypatch, n):
         monkeypatch.undo()
 
 
+def test_chunked_block_draws_match_one_shot_and_cache_nothing(monkeypatch):
+    spec = Sbm(40, 3, p_in=0.4, p_out=0.05)
+    one_shot = [sample_graph(spec, np.random.default_rng(s)) for s in range(3)]
+    monkeypatch.setattr(generators, "_PAIR_CHUNK", 7)
+    monkeypatch.setattr(generators, "_PAIR_PROB_CACHE", {})
+    assert [sample_graph(spec, np.random.default_rng(s)) for s in range(3)] == one_shot
+    assert generators._PAIR_PROB_CACHE == {}
+
+
 def test_cached_block_probabilities_give_the_uncached_draws(monkeypatch):
     # a gridded k changes the pair probabilities from draw to draw
     spec = Sbm(60, GridPrior((2.0, 3.0, 5.0)), p_in=0.4, p_out=0.05)
@@ -169,6 +184,86 @@ def test_cached_block_probabilities_give_the_uncached_draws(monkeypatch):
     assert cached == fresh
     assert generators._PAIR_PROB_CACHE == {}  # no key, nothing cached
 
+
+
+@st.composite
+def fixed_block_specs(draw):
+    """(spec, k, labels, k x k matrix): an SBM with a fixed membership, given
+    as equal blocks, explicit labels or an explicit matrix."""
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, min(n, 5)))
+    shape = draw(st.sampled_from(["equal", "labels", "matrix"]))
+    p = st.floats(0.0, 1.0)
+    if shape == "matrix":
+        upper = {(a, b): draw(p) for a in range(k) for b in range(a, k)}
+        mat = np.array([[upper[min(a, b), max(a, b)] for b in range(k)] for a in range(k)])
+        return Sbm(n, k, edge_probs=tuple(map(tuple, mat))), k, generators.equal_blocks(n, k), mat
+    p_in, p_out = draw(p), draw(p)
+    mat = np.full((k, k), p_out)
+    np.fill_diagonal(mat, p_in)
+    if shape == "equal":
+        return Sbm(n, k, p_in=p_in, p_out=p_out), k, generators.equal_blocks(n, k), mat
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return (Sbm(n, k, p_in=p_in, p_out=p_out, membership=tuple(labels)), k,
+            np.array(labels), mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixed_block_specs(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+def test_cache_hit_block_draws_equal_uncached_and_generate_sbm_draws(case, seeds):
+    spec, k, labels, mat = case
+    hits = [sample_graph(spec, np.random.default_rng(s)) for s in seeds + seeds]
+    uncached = []
+    for s in seeds + seeds:
+        generators._PAIR_PROB_CACHE.clear()
+        uncached.append(sample_graph(spec, np.random.default_rng(s)))
+    direct = [generate_sbm(spec.n, k, labels, mat, np.random.default_rng(s))
+              for s in seeds + seeds]
+    assert hits == uncached == direct
+
+
+def test_a_twelve_point_block_grid_computes_each_points_probabilities_once(monkeypatch):
+    # more grid points than the cache once held before it was cleared whole
+    monkeypatch.setattr(generators, "_PAIR_PROB_CACHE", {})
+    computed = Counter()
+    remember = generators._remember
+
+    def counting(cache, key, value):
+        if cache is generators._PAIR_PROB_CACHE:
+            computed[key[1]] += 1
+        return remember(cache, key, value)
+
+    monkeypatch.setattr(generators, "_remember", counting)
+    grid = Sbm(200, GridPrior(tuple(float(k) for k in range(2, 14))), p_in=0.1, p_out=0.01)
+    points = [fix_grid_point(grid, "k", k) for k in grid.k.values]
+    for seed in range(20):
+        for point in points:
+            sample_graph(point, np.random.default_rng(seed))
+    assert computed == {k: 1 for k in range(2, 14)}
+
+
+def test_the_pair_cache_drops_its_least_recently_used_entries_first(monkeypatch):
+    monkeypatch.setattr(generators, "_PAIR_PROB_CACHE", {})
+    entry = 3 * 8 * (20 * 19 // 2)  # (iu, ju, probs) at n=20
+    monkeypatch.setattr(generators, "_CACHE_BYTES", 2 * entry)
+    specs = {k: Sbm(20, k, p_in=0.5, p_out=0.1) for k in (2, 3, 4)}
+    for k in (2, 3, 2, 4):  # the second draw at k=2 makes k=3 the oldest
+        sample_graph(specs[k], np.random.default_rng(k))
+    assert list(generators._PAIR_PROB_CACHE) == [(specs[2], 2), (specs[4], 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.floats(2.05, 4.0), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_power_law_draws_pair_stubs_as_generate_from_degrees(n, alpha, d_min, seed):
+    rng = np.random.default_rng(seed)
+    degrees = sample_powerlaw_degrees(n, alpha, d_min, rng)
+    checked = np.random.default_rng()
+    checked.bit_generator.state = rng.bit_generator.state
+    g = _pair_stubs(degrees, rng)
+    assert g == generate_from_degrees(degrees, checked)
+    assert rng.bit_generator.state == checked.bit_generator.state
+    spec = PowerLaw(n, PointPrior(alpha), d_min)
+    assert sample_graph(spec, np.random.default_rng(seed)) == g
 
 
 @pytest.mark.parametrize("token", ["power_law_exponent", "degree_entropy", "link_density"])

@@ -34,6 +34,7 @@ from netselect import (
     PowerLaw,
     Sbm,
     UndefinedBayesFactor,
+    UndefinedFeature,
     UndefinedPosterior,
     UniformPrior,
     bayes_factor,
@@ -56,6 +57,7 @@ from netselect import (
     sample_graph,
     shard_cells,
     silverman_bandwidth,
+    simulate_feature_matrices,
     simulate_feature_matrix,
 )
 from netselect.inference import fix_grid_point, grid_feature_matrices, grid_points
@@ -466,7 +468,7 @@ CORES = 4
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Pools are recording stand-ins, on a host with ``CORES`` usable cores."""
-    monkeypatch.setattr(inference, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "shutdowns", [])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(CORES)))
@@ -650,6 +652,40 @@ def test_simulate_feature_matrix_worker_independence():
     parallel = simulate_feature_matrix(spec, kinds, 16, master_seed=4, workers=2)
     for kind in kinds:
         assert np.array_equal(serial[kind], parallel[kind])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_undefined_feature_names_its_sample_and_seed(workers):
+    # Sparse ER draws often have no node of degree >= 4; under master seed 2
+    # the first such draw is sample 57, which a pooled run puts in a later job.
+    spec = ErdosRenyi(30, UniformPrior(0.03, 0.3))
+    first = next(i for i in range(100) if sample_graph(
+        spec, np.random.default_rng(derive_seed(2, i))).degrees.max() < 4)
+    assert first == 57
+    with pytest.raises(UndefinedFeature) as info:
+        simulate_feature_matrices([spec], [FeatureKind("power_law_exponent", d_min=4)],
+                                  100, 2, workers)
+    assert f"sample {first}, seed {derive_seed(2, first)})" in str(info.value)
+
+
+def test_jobs_are_cut_by_the_capped_pool_size(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    submitted = {}
+    real = inference.pool_map
+
+    def spy(fn, jobs, workers):
+        submitted[workers] = [job[2:] for job in jobs]  # (master seed, first, stop)
+        return real(fn, jobs, workers)
+
+    monkeypatch.setattr(inference, "pool_map", spy)
+    spec = PowerLaw(60, GridPrior((2.5, 3.0)))
+    kind = FeatureKind("power_law_exponent")
+    outputs = {workers: grid_feature_matrices([spec], [kind], 40, [7], workers)
+               for workers in (2, 50)}
+    assert submitted[50] == submitted[2]
+    assert len(submitted[2]) == 8
+    for (_, _, few), (_, _, many) in zip(outputs[2], outputs[50]):
+        assert [m[kind].tobytes() for m in few] == [m[kind].tobytes() for m in many]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """scipy loads only for block_count, on one BLAS thread unless the user set a
 count, and before a pool forks its workers; a worker forked before scipy
 loaded runs it on one thread too, and no worker outlives its interpreter.
+multiprocessing and concurrent.futures load only at the first pooled run.
 Each check runs in a fresh interpreter, since the test process itself may
 have imported scipy already.
 """
@@ -54,6 +55,21 @@ values = [extract_feature(g, FeatureKind(k)) for k in ("link_density", "diameter
 print(json.dumps({"scipy": scipy_loaded(), "env": thread_vars()}))
 """)
     assert out == {"scipy": False, "env": dict.fromkeys(THREAD_VARS)}
+
+
+def test_pool_modules_load_at_the_first_pooled_run():
+    out = _run("""
+pool_modules = ("multiprocessing", "concurrent.futures")
+loaded = lambda: [name for name in pool_modules if name in sys.modules]
+at_import = loaded()
+inference.simulate_feature_matrices([ErdosRenyi(20, 0.3)], [FeatureKind("link_density")], 8, 1)
+after_serial = loaded()
+inference.simulate_feature_matrices([ErdosRenyi(20, 0.3)], [FeatureKind("link_density")], 8, 1,
+                                    workers=2)
+print(json.dumps({"import": at_import, "serial": after_serial, "pooled": loaded()}))
+""")
+    assert out == {"import": [], "serial": [],
+                   "pooled": ["multiprocessing", "concurrent.futures"]}
 
 
 BLOCK_COUNT = """
