@@ -113,6 +113,8 @@ def power_law_mle(values, d_min: int) -> float:
     if d_min < 1:
         raise InvalidSpec(f"d_min must be >= 1, got {d_min}")
     values = np.asarray(values)
+    if values.dtype.kind not in "iu":  # integer degrees divide into float64 as they are
+        values = values.astype(float)
     included = values[values >= d_min]
     if len(included) == 0:
         raise UndefinedFeature(f"no value reaches d_min={d_min}")

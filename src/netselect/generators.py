@@ -479,18 +479,21 @@ def _row_chunks(n: int, chunk_pairs: int) -> Iterator[list[int]]:
         yield rows
 
 
-_PAIR_INDEX_CACHE: dict = {}
-_PAIR_PROB_CACHE: dict = {}
-_CACHE_BYTES = 1 << 25  # per cache; the arrays of the least recently used entries go first
+_PAIR_INDEX_CACHE: dict = {}  # n -> (iu, ju)
+_PAIR_PROB_CACHE: dict = {}  # fixed-membership (spec, k) -> probs over all pairs
+_CACHE_BYTES = 9 * 8 * _PAIR_CHUNK  # per cache: nine probability vectors at the largest one-shot n
 _LAST_UNIFORMS = (None, 0, None, None)  # (state before, size, uniforms, state after)
 
 
-def _remember(cache: dict, key, value: tuple):
-    """Store the tuple of arrays ``value`` as ``cache``'s most recently used
-    entry, then drop the least recently used entries while the cache's arrays
-    hold more than ``_CACHE_BYTES`` (the newest entry always stays)."""
+def _remember(cache: dict, key, value):
+    """Store ``value`` (an array or a tuple of arrays) as ``cache``'s most
+    recently used entry, then drop the least recently used entries while the
+    cache's arrays hold more than ``_CACHE_BYTES`` (the newest entry always
+    stays)."""
     cache[key] = value
-    while len(cache) > 1 and sum(a.nbytes for v in cache.values() for a in v) > _CACHE_BYTES:
+    while len(cache) > 1 and sum(
+            v.nbytes if isinstance(v, np.ndarray) else sum(a.nbytes for a in v)
+            for v in cache.values()) > _CACHE_BYTES:
         del cache[next(iter(cache))]
     return value
 
@@ -543,17 +546,15 @@ def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator,
     row-major order in bounded chunks, so draws depend only on (n, rng state);
     a one-shot draw may reuse the last uniform vector (``_uniforms``). A
     ``cache_key`` says that ``pair_probs`` is fixed: its probabilities over
-    all pairs are then computed once per key and kept, with the pair indices,
-    as ``_PAIR_PROB_CACHE[cache_key] = (iu, ju, probs)`` for later draws.
+    all pairs are then kept as ``_PAIR_PROB_CACHE[cache_key]``, where
+    ``sample_graph`` looks them up for later draws.
     """
     if n * (n - 1) // 2 <= _PAIR_CHUNK:
-        cached = _recall(_PAIR_PROB_CACHE, cache_key)  # None is never a key
-        if cached is None:
-            iu, ju = _pair_indices(n)
-            cached = (iu, ju, pair_probs(iu, ju))
-            if cache_key is not None:
-                _remember(_PAIR_PROB_CACHE, cache_key, cached)
-        return _draw_pairs(n, *cached, rng)
+        iu, ju = _pair_indices(n)
+        probs = pair_probs(iu, ju)
+        if cache_key is not None:
+            _remember(_PAIR_PROB_CACHE, cache_key, probs)
+        return _draw_pairs(n, iu, ju, probs, rng)
     # large n: bounded memory, same row-major consumption order
     los, his = [], []
     for rows in _row_chunks(n, _PAIR_CHUNK):
@@ -577,19 +578,17 @@ def generate_sbm(n: int, k: int, membership: Sequence[int], edge_probs,
                  rng: np.random.Generator, cache_key=None) -> Graph:
     """Block-model draw: pair (u, v) is an edge w.p. edge_probs[z_u][z_v].
 
-    Draws that pass the same ``cache_key`` must pass the same membership and
-    edge_probs; they share one pair-probability vector, and the arguments are
-    checked only while the key is not cached.
+    A ``cache_key`` stores the pair probabilities under that key for
+    ``sample_graph``'s later draws with the same membership and edge_probs.
     """
     _check_n(n)
     mat = np.asarray(edge_probs, dtype=float)
     z = np.asarray(membership, dtype=np.int64)
-    if cache_key not in _PAIR_PROB_CACHE:
-        _validate_edge_probs(mat, k)
-        if z.shape != (n,):
-            raise InvalidSpec(f"membership must have length {n}")
-        if z.min() < 0 or z.max() >= k:
-            raise InvalidSpec("membership labels must lie in [0, K)")
+    _validate_edge_probs(mat, k)
+    if z.shape != (n,):
+        raise InvalidSpec(f"membership must have length {n}")
+    if z.min() < 0 or z.max() >= k:
+        raise InvalidSpec("membership labels must lie in [0, K)")
     return _sample_pair_graph(n, lambda iu, ju: mat[z[iu], z[ju]], rng, cache_key)
 
 
@@ -743,9 +742,9 @@ def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:
         k = spec.k if isinstance(spec.k, int) else int(round(sample_parameter(spec.k, rng)))
         # a fixed membership fixes the pair probabilities for this k
         key = None if isinstance(spec.membership, DirichletMembership) else (spec, k)
-        cached = key and _recall(_PAIR_PROB_CACHE, key)
-        if cached:
-            return _draw_pairs(spec.n, *cached, rng)
+        probs = None if key is None else _recall(_PAIR_PROB_CACHE, key)
+        if probs is not None:  # validated when first computed
+            return _draw_pairs(spec.n, *_pair_indices(spec.n), probs, rng)
         if spec.edge_probs is not None:
             mat = spec.edge_probs
         else:

@@ -157,6 +157,13 @@ def test_mle_on_integer_degrees_is_bit_equal_to_the_float_cast_formula(values, d
         assert power_law_mle(degrees, d_min) == want  # exact, not approx
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_mle_on_float_values_computes_in_float64(dtype):
+    values = np.array([1.0, 2.0, 3.0, 4.5, 7.25, 11.0], dtype=dtype)
+    for d_min in (1, 3):
+        assert power_law_mle(values, d_min) == _mle_of_float_cast(values, d_min)
+
+
 def test_mle_scale_consistency_on_zeta_tails():
     # Discrete power-law (Zipf) samples conditioned on >= 6, where the
     # d_min - 0.5 correction is accurate.

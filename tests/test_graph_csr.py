@@ -242,9 +242,38 @@ def test_a_twelve_point_block_grid_computes_each_points_probabilities_once(monke
     assert computed == {k: 1 for k in range(2, 14)}
 
 
+def test_a_four_point_block_grid_at_n_1000_computes_each_points_probabilities_once(
+        monkeypatch):
+    monkeypatch.setattr(generators, "_PAIR_PROB_CACHE", {})
+    computed = Counter()
+    remember = generators._remember
+
+    def counting(cache, key, value):
+        if cache is generators._PAIR_PROB_CACHE:
+            computed[key[1]] += 1
+        return remember(cache, key, value)
+
+    monkeypatch.setattr(generators, "_remember", counting)
+    grid = Sbm(1000, GridPrior((2.0, 3.0, 4.0, 5.0)), p_in=0.01, p_out=0.001)
+    points = [fix_grid_point(grid, "k", k) for k in grid.k.values]
+    for seed in range(3):
+        for point in points:
+            sample_graph(point, np.random.default_rng(seed))
+    assert computed == {k: 1 for k in range(2, 6)}
+
+
+def test_the_pair_cache_holds_nine_probability_vectors_at_the_largest_one_shot_n(
+        monkeypatch):
+    monkeypatch.setattr(generators, "_PAIR_PROB_CACHE", {})
+    largest = np.broadcast_to(0.5, generators._PAIR_CHUNK)  # full nbytes, no memory
+    for key in range(10):
+        generators._remember(generators._PAIR_PROB_CACHE, key, largest)
+    assert list(generators._PAIR_PROB_CACHE) == list(range(1, 10))
+
+
 def test_the_pair_cache_drops_its_least_recently_used_entries_first(monkeypatch):
     monkeypatch.setattr(generators, "_PAIR_PROB_CACHE", {})
-    entry = 3 * 8 * (20 * 19 // 2)  # (iu, ju, probs) at n=20
+    entry = 8 * (20 * 19 // 2)  # the probabilities of all pairs at n=20
     monkeypatch.setattr(generators, "_CACHE_BYTES", 2 * entry)
     specs = {k: Sbm(20, k, p_in=0.5, p_out=0.1) for k in (2, 3, 4)}
     for k in (2, 3, 2, 4):  # the second draw at k=2 makes k=3 the oldest
