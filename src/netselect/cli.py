@@ -183,8 +183,8 @@ def _parse_ranges(values) -> list[tuple[FeatureKind, float, float]]:
             kind, lo, hi = FeatureKind.from_json(feature), float(lo), float(hi)
         except (TypeError, ValueError):
             raise InvalidSpec(f"cannot parse range {item!r}") from None
-        if lo > hi:
-            raise InvalidSpec(f"range needs lo <= hi, got [{lo}, {hi}]")
+        if not (np.isfinite((lo, hi)).all() and lo <= hi):
+            raise InvalidSpec(f"range needs finite lo <= hi, got [{lo}, {hi}]")
         out.append((kind, lo, hi))
     return out
 
@@ -455,6 +455,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             if value is not None}
     opts.update((key, value) for key, value in vars(args).items()
                 if value is not None or key in _FLAG_ONLY)
+    if opts.get("threads", 1) < 1:
+        raise InvalidSpec(f"threads must be >= 1, got {opts['threads']}")
     if opts.get("format", "json") not in ("json", "csv"):
         raise InvalidSpec(f"format must be json or csv, got {opts['format']!r}")
     return opts

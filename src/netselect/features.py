@@ -20,7 +20,6 @@ from .errors import InvalidSpec, UndefinedFeature
 # them under this module's name.
 from .graph import (  # noqa: F401
     Graph,
-    _closed_neighbourhoods,
     connected_components,
     degree_sequence,
     shortest_path_distances,
@@ -201,48 +200,49 @@ def estimate_block_count(g: Graph, k_max: int) -> int:
     return max(1, min(neg, k_max, g.node_count))
 
 
-#: Adjacency entries gathered per numpy call in count_triangles and
-#: _eccentricities, which bounds their temporaries to about
-#: 16 * _EDGE_CHUNK * ceil(n / 64) bytes on dense graphs.
+#: Rows gathered per numpy call in count_triangles and _eccentricities, which
+#: bounds their temporaries to about 16 * _EDGE_CHUNK * ceil(n / 64) bytes on
+#: dense graphs; _packed_closed packs _EDGE_CHUNK // 8 rows per boolean mask.
 _EDGE_CHUNK = 1 << 14
 
-def _packed_adjacency(g: Graph) -> np.ndarray:
-    """n x ceil(n / 64) uint64 bitset whose row v has bit u set iff u ~ v.
-
-    Rows are packed through a dense boolean mask in blocks of
-    _EDGE_CHUNK // 8 rows, so a block's mask is no larger than one gather of
-    _EDGE_CHUNK packed rows; graphs up to that many nodes pack in one block.
-    """
+def _packed_closed(g: Graph) -> np.ndarray:
+    """n x ceil(n / 64) uint64 bitset whose row v has bit u set iff u is in
+    {v} | N(v), set from the edge arrays through a dense boolean mask in blocks
+    of _EDGE_CHUNK // 8 rows (one block up to that many nodes), so a block's
+    mask is no larger than one gather of _EDGE_CHUNK packed rows."""
     n = g.node_count
     width = 64 * -(-n // 64)
     step = max(1, _EDGE_CHUNK // 8)
     bits = np.empty((n, width // 64), dtype=np.uint64)
+    keys = np.concatenate((g.lo * width + g.hi, g.hi * width + g.lo))  # flat bit of each end
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         mask = np.zeros((hi - lo) * width, dtype=bool)
-        starts = np.repeat(np.arange(0, (hi - lo) * width, width), g.degrees[lo:hi])
-        mask[starts + g.indices[g.indptr[lo]:g.indptr[hi]]] = True
+        mask[lo::width + 1] = True  # row v holds v
+        inside = (keys >= lo * width) & (keys < hi * width) if hi - lo < n else slice(None)
+        mask[keys[inside] - lo * width] = True
         bits[lo:hi] = np.packbits(mask, bitorder="little").view(np.uint64).reshape(hi - lo, -1)
         del mask  # free it before the next block's mask is allocated
     return bits
 
 
-def count_triangles(g: Graph) -> int:
-    """Number of node triples inducing a triangle (each counted once).
+def _remember_triangles(g: Graph, bits: np.ndarray) -> None:
+    """Memoize the triangle count. For an edge u < v, N[u] & N[v] holds u, v and
+    their common neighbours, so the popcounts sum to 3 * triangles + 2m."""
+    total = 0
+    for lo in range(0, g.edge_count, _EDGE_CHUNK):
+        hi = lo + _EDGE_CHUNK
+        common = np.take(bits, g.lo[lo:hi], axis=0)
+        common &= np.take(bits, g.hi[lo:hi], axis=0)
+        total += int(np.bitwise_count(common).sum())
+    object.__setattr__(g, "_triangles", (total - 2 * g.edge_count) // 3)
 
-    Sums |N(u) & N(v)| over the edges u < v, as popcounts of the packed
-    adjacency rows; each triangle is seen from its three edges. The count is
-    kept on the graph, so clustering on the same graph does not redo it.
-    """
+
+def count_triangles(g: Graph) -> int:
+    """Number of node triples inducing a triangle (each counted once), kept on
+    the graph for clustering; ``diameter`` keeps it too, from its first level."""
     if g._triangles is None:
-        bits = _packed_adjacency(g)
-        total = 0
-        for lo in range(0, g.edge_count, _EDGE_CHUNK):
-            hi = lo + _EDGE_CHUNK
-            common = np.take(bits, g.lo[lo:hi], axis=0)
-            common &= np.take(bits, g.hi[lo:hi], axis=0)
-            total += int(np.bitwise_count(common).sum())
-        object.__setattr__(g, "_triangles", total // 3)
+        _remember_triangles(g, _packed_closed(g))
     return g._triangles
 
 
@@ -251,33 +251,34 @@ def _eccentricities(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     Breadth-first search from all sources at once: row v of ``reach`` is the
     bitset of nodes within ``level`` hops of v, and each level ORs together
-    the rows of v's closed neighbourhood {v} | N(v). Hop distances within a
-    component are contiguous, so a row that stops growing already holds v's
-    whole component, and v's eccentricity within it is the last level at
-    which its row grew. The search ends when no row grows, so row v of the
-    returned ``reach`` is v's connected component.
+    the rows of v's closed neighbourhood {v} | N(v); level 1, where the rows
+    of non-isolated nodes grew, also counts the triangles if none are kept.
+    Hop distances within a component are contiguous, so a row that stops
+    growing already holds v's whole component, and v's eccentricity within it
+    is the last level at which its row grew. The search ends when no row
+    grows, so row v of the returned ``reach`` is v's connected component.
     """
     n = g.node_count
-    nodes = np.arange(n)
-    ptr, closed = _closed_neighbourhoods(g)
+    ptr, closed = g._closed_neighbourhoods()
     # node blocks of about _EDGE_CHUNK closed-neighbourhood entries each
     cuts = sorted({0, n, *np.searchsorted(ptr, range(_EDGE_CHUNK, ptr[-1], _EDGE_CHUNK)).tolist()})
     blocks = [(lo, hi, closed[ptr[lo]:ptr[hi]], ptr[lo:hi] - ptr[lo])
               for lo, hi in zip(cuts, cuts[1:])]
-    reach = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-    reach[nodes, nodes >> 6] = np.uint64(1) << (nodes & 63).astype(np.uint64)
+    reach = _packed_closed(g)
+    if g._triangles is None:
+        _remember_triangles(g, reach)
     grown = np.empty_like(reach)
-    ecc = np.zeros(n, dtype=np.int64)
-    level = 0
+    ecc = (g.degrees > 0).astype(np.int64)
+    level = 1
     while True:
         for lo, hi, members, offsets in blocks:
             np.bitwise_or.reduceat(np.take(reach, members, axis=0), offsets,
                                    axis=0, out=grown[lo:hi])
-        changed = (grown != reach).any(axis=1)
-        if not changed.any():
+        grew = np.flatnonzero(grown != reach)  # words that grew, row-major
+        if not len(grew):
             return ecc, reach
         level += 1
-        ecc[changed] = level
+        ecc[grew // reach.shape[1]] = level
         reach, grown = grown, reach
 
 

@@ -5,11 +5,12 @@ A ``Graph`` is an immutable value: its edges are the distinct pairs
 ``bincount(concatenate((lo, hi)))``. Every producer -- ``build_graph``,
 ``read_edge_list``, ``induced_subgraph``, ``toggle_edge`` and the generators --
 hands the constructor such arrays; edits return a new graph that shares
-nothing with the old one. The CSR adjacency (row v is
-``indices[indptr[v]:indptr[v + 1]]``, ascending) is built on first access and
-kept, so a draw whose features read only degrees never builds it. All arrays
-are read-only. ``features`` packs the CSR rows into 64-bit words so that
-neighbourhood intersections and unions are word-wise AND/OR in numpy.
+nothing with the old one. The closed-neighbourhood CSR (row v,
+``closed[ptr[v]:ptr[v + 1]]``, is {v} | N(v) ascending) is built on first access
+and kept, so a draw whose features read only degrees never builds it; the open
+rows derive from it. All arrays are read-only. ``features`` packs closed
+neighbourhoods into 64-bit words, so that neighbourhood intersections and unions
+are word-wise AND/OR in numpy.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class Graph:
 
     Build graphs with ``build_graph`` (or a generator); the constructor takes
     canonical row-major lo < hi edge arrays (int64) and checks nothing.
-    ``_triangles`` memoizes the triangle count once
-    ``features.count_triangles`` has computed it, and ``_csr`` the
-    (indptr, indices) pair once a kernel has read it.
+    ``_triangles`` memoizes the triangle count once ``features.count_triangles``
+    or ``features.diameter`` has computed it, and ``_csr`` the closed (ptr,
+    closed) pair once a kernel has read it.
     """
 
     node_count: int
@@ -65,36 +66,39 @@ class Graph:
     def __hash__(self):
         return hash((self.node_count, self.edge_count))
 
-    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices), built on first use. Listing each edge as (hi, lo)
-        ahead of (lo, hi) and sorting stably by source leaves every row sorted:
-        the smaller neighbours, from the reversed pairs, come first."""
+    def _closed_neighbourhoods(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ptr, closed), built on first use: row v, closed[ptr[v]:ptr[v + 1]], is
+        {v} | N(v) ascending, as sorting the (hi, lo) edges, then (v, v), then the
+        (lo, hi) edges stably by source puts smaller neighbours, v, larger ones."""
         if self._csr is None:
-            src = np.concatenate([self.hi, self.lo])
-            dst = np.concatenate([self.lo, self.hi])
+            n = self.node_count
+            nodes = np.arange(n)
+            src = np.concatenate((self.hi, nodes, self.lo))
+            dst = np.concatenate((self.lo, nodes, self.hi))
             # a stable sort of 16-bit keys is a radix sort
-            keys = src.astype(np.uint16) if self.node_count <= 1 << 16 else src
-            indices = dst[np.argsort(keys, kind="stable")]
-            indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-            np.cumsum(self.degrees, out=indptr[1:])
-            indptr.flags.writeable = indices.flags.writeable = False
-            object.__setattr__(self, "_csr", (indptr, indices))
+            keys = src.astype(np.uint16) if n <= 1 << 16 else src
+            ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(self.degrees + 1, out=ptr[1:])
+            closed = dst[np.argsort(keys, kind="stable")]
+            object.__setattr__(self, "_csr", (_read_only(ptr), _read_only(closed)))
         return self._csr
 
     @property
-    def indptr(self) -> np.ndarray:
-        return self._csr_arrays()[0]
+    def indptr(self) -> np.ndarray:  # open rows: N(v) is indices[indptr[v]:indptr[v + 1]]
+        return _read_only(self._closed_neighbourhoods()[0] - np.arange(self.node_count + 1))
 
     @property
     def indices(self) -> np.ndarray:
-        return self._csr_arrays()[1]
+        ptr, closed = self._closed_neighbourhoods()
+        return _read_only(closed[closed != np.repeat(np.arange(self.node_count), np.diff(ptr))])
 
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
     def _row(self, v: int) -> np.ndarray:
-        indptr, indices = self._csr_arrays()
-        return indices[indptr[v]:indptr[v + 1]]
+        ptr, closed = self._closed_neighbourhoods()
+        row = closed[ptr[v]:ptr[v + 1]]
+        return row[row != v]
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self._row(u)
@@ -114,6 +118,11 @@ class Graph:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _canonical_pairs(node_count: int, u: np.ndarray,
                      v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pairs {u[i], v[i]} with u[i] != v[i] as row-major (lo, hi) arrays."""
@@ -122,18 +131,6 @@ def _canonical_pairs(node_count: int, u: np.ndarray,
     first = np.ones(len(keys), dtype=bool)  # np.unique, without its overhead
     first[1:] = keys[1:] != keys[:-1]
     return np.divmod(keys[first], max(node_count, 1))
-
-
-def _closed_neighbourhoods(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, closed): {v} | N(v) is closed[ptr[v]:ptr[v + 1]], v first."""
-    n = g.node_count
-    ptr = g.indptr + np.arange(n + 1)
-    closed = np.empty(ptr[-1], dtype=g.indices.dtype)
-    closed[ptr[:-1]] = np.arange(n)
-    others = np.ones(ptr[-1], dtype=bool)
-    others[ptr[:-1]] = False
-    closed[others] = g.indices
-    return ptr, closed
 
 
 def _check_node(v: int, node_count: int) -> None:
@@ -228,7 +225,7 @@ def connected_components(g: Graph) -> list[list[int]]:
     nothing changes; every component is then labelled by its smallest node.
     """
     n = g.node_count
-    ptr, closed = _closed_neighbourhoods(g)
+    ptr, closed = g._closed_neighbourhoods()
     labels = np.arange(n)
     while n:
         low = np.minimum.reduceat(labels[closed], ptr[:-1])

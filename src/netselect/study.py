@@ -54,8 +54,8 @@ class Window:
     hi: float
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise InvalidSpec(f"window needs lo <= hi, got [{self.lo}, {self.hi}]")
+        if not (np.isfinite((self.lo, self.hi)).all() and self.lo <= self.hi):
+            raise InvalidSpec(f"window needs finite lo <= hi, got [{self.lo}, {self.hi}]")
 
     @property
     def label(self) -> str:

@@ -374,6 +374,36 @@ def test_elicit_rejects_inverted_range(tmp_path):
                     "--samples", 10, "--seed", 0]) == 2
 
 
+@pytest.mark.parametrize("bounds", ["diameter:nan:1", "diameter:-inf:inf", "link_density:0:inf"])
+def test_elicit_rejects_non_finite_range_bounds(tmp_path, capsys, bounds):
+    m = write_json(tmp_path / "m.json", {"type": "er", "n": 12, "p": 0.4})
+    assert run_cli(["elicit", "--model", m, "--range", bounds, "--samples", 5]) == 2
+    assert "range needs finite lo <= hi" in capsys.readouterr().err
+
+
+def test_non_finite_range_and_window_bounds_in_a_config_are_input_errors(tmp_path, capsys):
+    m = write_json(tmp_path / "m.json", {"type": "er", "n": 12, "p": 0.4})
+    cfg = write_json(tmp_path / "cfg.json", {"ranges": [{"feature": "diameter",
+                                                         "lo": math.nan, "hi": 1}]})
+    assert run_cli(["elicit", "--config", cfg, "--model", m, "--samples", 5]) == 2
+    assert "range needs finite lo <= hi" in capsys.readouterr().err
+    study = json.loads(Path(study_config(tmp_path, n=30, samples=5)).read_text())
+    study["windows"][0]["lo"] = math.nan
+    assert run_cli(["simulate", "--config", write_json(tmp_path / "s.json", study)]) == 2
+    assert "window needs finite lo <= hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config", [(["--threads", "0"], None), (["--threads", "-5"], None),
+                                          ([], {"threads": 0})])
+def test_a_thread_count_below_one_is_an_input_error(tmp_path, capsys, argv, config):
+    m = write_json(tmp_path / "m.json", {"type": "er", "n": 12, "p": 0.4})
+    if config is not None:
+        argv = ["--config", write_json(tmp_path / "cfg.json", config)]
+    out = tmp_path / "out"
+    assert run_cli(["generate", "--model", m, "--samples", 2, "--out", out, *argv]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err and not out.exists()
+
+
 def test_elicit_rerun_is_byte_identical(tmp_path):
     m = write_json(tmp_path / "m.json", {"type": "er", "n": 15, "p": 0.3})
     outs = []

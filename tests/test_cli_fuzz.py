@@ -85,7 +85,7 @@ good_features = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3,
 good_ranges = st.lists(choice("link_density:0:0.5", "triangle_count:0:5",
                               "degree_entropy:0.5:2"), min_size=1, max_size=2)
 bad_ranges = st.lists(choice("link_density:0:0.5", "degree_entropy:1:0",
-                             "link_density:x:1", "nope", "bogus:0:1"),
+                             "link_density:x:1", "link_density:nan:1", "nope", "bogus:0:1"),
                       min_size=1, max_size=2)
 # An integer beyond float range. Numeric config keys draw it where it is a
 # finite request; sample and thread counts do not, as they would ask for that

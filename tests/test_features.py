@@ -418,6 +418,17 @@ def test_bitset_kernels_match_oracles(graph, chunk):
         assert count_triangles(g) == count_triangles(reversed_ids) == brute_force_triangles(g)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(component_graphs(), st.sampled_from([features._EDGE_CHUNK, 1, 8, 97]))
+def test_diameter_memoizes_the_triangle_count_of_its_first_level(graph, chunk):
+    n, edges = graph
+    g, fresh = build_graph(n, edges), build_graph(n, edges)
+    with mock.patch.object(features, "_EDGE_CHUNK", chunk):
+        assert g._triangles is None
+        diameter(g)
+        assert g._triangles == count_triangles(fresh) == brute_force_triangles(g)
+
+
 @pytest.mark.parametrize("kernel", [count_triangles, diameter])
 def test_bitset_kernel_memory_on_a_sparse_graph(kernel):
     """The packed rows of n=8000 take 7.6 MiB; neither kernel may hold an

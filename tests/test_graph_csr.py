@@ -80,6 +80,25 @@ def test_build_graph_matches_set_oracle(case):
     assert read_edge_list(write_edge_list(g)) == g
 
 
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+def test_closed_and_open_rows_match_the_edge_list(n):
+    """Rows that cross 64-bit word boundaries; the top quarter of the ids and
+    any node no pair touches stay isolated."""
+    pairs = np.random.default_rng(n).integers(0, max(1, n - n // 4), size=(n, 2)).tolist()
+    edges = [(u, v) for u, v in pairs if u != v]
+    sets = oracle_sets(n, edges)
+    g = build_graph(n, edges)
+    ptr, closed = g._closed_neighbourhoods()
+    assert len(ptr) == n + 1 and ptr[0] == 0 and not closed.flags.writeable
+    assert any(not s for s in sets) or n == 0
+    for v in range(n):
+        assert closed[ptr[v]:ptr[v + 1]].tolist() == sorted(sets[v] | {v})
+        assert g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() == sorted(sets[v])
+        assert g._row(v).tolist() == sorted(sets[v])
+        assert [g.has_edge(v, u) for u in range(n)] == [u in sets[v] for u in range(n)]
+    assert g._closed_neighbourhoods()[1] is closed  # built once, then kept
+
+
 @settings(max_examples=100, deadline=None)
 @given(edge_lists(), st.data())
 def test_toggle_edge_round_trips(case, data):

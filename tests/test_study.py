@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from netselect import (
@@ -60,6 +62,12 @@ def test_study_row_data_id_must_match_a_candidate():
 def test_window_rejects_inverted_bounds():
     with pytest.raises(InvalidSpec):
         Window("alpha", 3.1, 2.9)
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 3.1), (2.9, math.nan), (-math.inf, math.inf)])
+def test_window_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(InvalidSpec, match="finite"):
+        Window("alpha", lo, hi)
 
 
 def test_run_study_structure_and_normalization():
