@@ -25,7 +25,6 @@ from .graph import (
     Graph,
     build_graph,
     connected_components,
-    degree_sequence,
     induced_subgraph,
     read_edge_list,
     shortest_path_distances,
@@ -63,11 +62,12 @@ from .features import (
     FeatureKind,
     count_triangles,
     degree_entropy,
-    density_and_clustering,
     diameter,
     estimate_block_count,
     extract_feature,
     fit_power_law_mle,
+    global_clustering,
+    link_density,
     power_law_mle,
 )
 from .inference import (

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .features import FeatureKind, extract_feature
 from .generators import GRID_PARAMS, GridPrior, ModelSpec, model_spec_to_json, parse_model_spec
-from .graph import Graph, build_graph, read_edge_list, write_edge_list
+from .graph import _HEADER_RE, Graph, build_graph, read_edge_list, write_edge_list
 # simulate_feature_matrix stays importable here for perfbench/spans.py to wrap.
 from .inference import (  # noqa: F401
     DiscretePmf,
@@ -61,8 +61,8 @@ _INDETERMINATE_ERRORS = (UndefinedBayesFactor, UndefinedPosterior, DegenerateRat
 _CONFIG_TYPES = {
     "model": (str, dict), "model2": (str, dict), "models": list, "data": str,
     "features": (str, list), "ranges": list, "loss": (str, dict),
-    "samples": int, "seed": int, "threads": int, "model_priors": list,
-    "format": str, "out": str, "plot_data": str,
+    "samples": int, "n_samples": int, "seed": int, "threads": int,
+    "model_priors": list, "format": str, "out": str, "plot_data": str,
 }
 
 
@@ -121,8 +121,7 @@ def load_graph_file(path: str) -> Graph:
         return read_edge_list(text)
     except ParseError as canonical_error:
         # files that declare a node count are canonical: report their errors
-        if any(line.strip().startswith("#") and "n=" in line.replace(" ", "")
-               for line in text.splitlines()):
+        if any(_HEADER_RE.match(line.strip()) for line in text.splitlines()):
             raise
         graph, mapping = _remap_labels(text, canonical_error)
         sidecar = path + ".mapping.json"
@@ -298,7 +297,7 @@ def _write_plot_data(plot_dir: str, report, kinds) -> None:
     os.makedirs(plot_dir, exist_ok=True)
     for matrix, model_id in zip(report.matrices, (report.model_1, report.model_2)):
         for kind in kinds:
-            samples = FeatureSamples(kind, matrix[kind], model_id=model_id)
+            samples = FeatureSamples(kind, matrix[kind])
             density = estimate_density(samples)
             base = os.path.join(plot_dir, f"{kind.name}_{model_id}")
             if isinstance(density, DiscretePmf):
@@ -339,8 +338,7 @@ def cmd_elicit(opts: dict) -> int:
     matrices = simulate_feature_matrices(specs, kinds, n_samples, seed,
                                          opts.get("threads", 1))
     per_model = {
-        model_id: {kind: FeatureSamples(kind, matrix[kind], model_id=model_id)
-                   for kind in kinds}
+        model_id: {kind: FeatureSamples(kind, matrix[kind]) for kind in kinds}
         for model_id, matrix in zip(ids, matrices)
     }
 

@@ -21,7 +21,6 @@ from .errors import InvalidSpec, UndefinedFeature
 from .graph import (  # noqa: F401
     Graph,
     connected_components,
-    degree_sequence,
     shortest_path_distances,
 )
 
@@ -96,7 +95,7 @@ def degree_entropy(g: Graph) -> float:
     """
     if g.node_count < 1:
         raise UndefinedFeature("degree entropy needs at least one node")
-    _, counts = np.unique(degree_sequence(g), return_counts=True)
+    _, counts = np.unique(g.degrees, return_counts=True)
     if len(counts) == 1:
         return 0.0
     p = counts / g.node_count
@@ -122,7 +121,7 @@ def power_law_mle(values, d_min: int) -> float:
 
 def fit_power_law_mle(g: Graph, d_min: int = DEFAULT_D_MIN) -> float:
     """Power-law exponent fitted to the degree sequence (degrees >= d_min)."""
-    return power_law_mle(degree_sequence(g), d_min)
+    return power_law_mle(g.degrees, d_min)
 
 
 def _lapack():
@@ -163,7 +162,8 @@ def _negative_inertia(h: np.ndarray) -> int:
 
 
 def bethe_hessian(g: Graph, r: float) -> np.ndarray:
-    """H(r) = (r^2 - 1) I - r A + D for the graph's adjacency A and degree D."""
+    """H(r) = (r^2 - 1) I - r A + D, with A the graph's 0/1 edge matrix and D
+    its degree matrix."""
     degrees = g.degrees
     n = g.node_count
     h = np.zeros((n, n))
@@ -188,7 +188,7 @@ def estimate_block_count(g: Graph, k_max: int) -> int:
         raise UndefinedFeature("block count needs at least two nodes")
     if k_max < 1:
         raise InvalidSpec(f"k_max must be >= 1, got {k_max}")
-    degrees = degree_sequence(g).astype(float)
+    degrees = g.degrees.astype(float)
     two_m = degrees.sum()
     if two_m == 0:
         return 1
@@ -297,12 +297,6 @@ def diameter(g: Graph) -> int:
     return int(ecc[sizes == sizes.max()].max())
 
 
-def count_two_paths(g: Graph) -> int:
-    """Number of connected 2-paths (paths on 3 nodes, center counted per pair)."""
-    d = g.degrees
-    return int((d * (d - 1) // 2).sum())
-
-
 def link_density(g: Graph) -> float:
     """|E| / C(n, 2)."""
     if g.node_count < 2:
@@ -311,16 +305,14 @@ def link_density(g: Graph) -> float:
     return float(g.edge_count / (n * (n - 1) / 2))
 
 
-def density_and_clustering(g: Graph) -> tuple[float, float]:
-    """(link density, global clustering).
-
-    density = |E| / C(n, 2); clustering = 3 * triangles / #2-paths, defined
-    as 0 when the graph has no 2-path.
-    """
-    density = link_density(g)
-    paths = count_two_paths(g)
-    clustering = 0.0 if paths == 0 else 3.0 * count_triangles(g) / paths
-    return density, float(clustering)
+def global_clustering(g: Graph) -> float:
+    """3 * triangles / #2-paths (paths on 3 nodes, counted once per centre and
+    pair of its neighbours), defined as 0 when the graph has no 2-path."""
+    if g.node_count < 2:
+        raise UndefinedFeature("clustering needs at least two nodes")
+    d = g.degrees
+    paths = int((d * (d - 1) // 2).sum())
+    return 0.0 if paths == 0 else 3.0 * count_triangles(g) / paths
 
 
 def extract_feature(g: Graph, kind: FeatureKind):
@@ -342,7 +334,5 @@ def extract_feature(g: Graph, kind: FeatureKind):
     if name == "link_density":
         return link_density(g)
     if name == "global_clustering":
-        if g.node_count < 2:
-            raise UndefinedFeature("clustering needs at least two nodes")
-        return density_and_clustering(g)[1]
+        return global_clustering(g)
     raise InvalidSpec(f"unknown feature {name!r}")

@@ -651,8 +651,7 @@ def default_thin(n: int) -> int:
     return n * n
 
 
-def mh_loglinear_sample(spec: LogLinear, count: int, burn_in: Optional[int] = None,
-                        thin: Optional[int] = None,
+def mh_loglinear_sample(spec: LogLinear, count: int,
                         rng: Optional[np.random.Generator] = None) -> list[Graph]:
     """Metropolis-Hastings sampler for the log-linear concordance model.
 
@@ -662,7 +661,7 @@ def mh_loglinear_sample(spec: LogLinear, count: int, burn_in: Optional[int] = No
     pair is proposed for toggling and accepted with probability
     min(1, exp(strength * sum_i w_i * delta_f_i)). Every ``thin``-th state
     after ``burn_in`` steps is returned, so the k-th retained graph is the
-    chain state after burn_in + k * thin steps.
+    chain state after burn_in + k * thin steps; both come from the spec.
 
     The chain state is one Python int per node: bit v of ``adj[u]`` is set
     iff u ~ v, so a toggle is two XORs, degrees are ``bit_count()`` and the
@@ -675,12 +674,8 @@ def mh_loglinear_sample(spec: LogLinear, count: int, burn_in: Optional[int] = No
     if rng is None:
         rng = np.random.default_rng()
     n = spec.n
-    if burn_in is None:
-        burn_in = spec.burn_in if spec.burn_in is not None else default_burn_in(n)
-    if thin is None:
-        thin = spec.thin if spec.thin is not None else default_thin(n)
-    if burn_in < 0 or thin < 1:
-        raise InvalidInput("burn_in must be >= 0 and thin >= 1")
+    burn_in = spec.burn_in if spec.burn_in is not None else default_burn_in(n)
+    thin = spec.thin if spec.thin is not None else default_thin(n)
     adj = [0] * n
     if n < 2:
         return [_snapshot(adj)] * count

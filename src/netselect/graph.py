@@ -7,10 +7,11 @@ A ``Graph`` is an immutable value: its edges are the distinct pairs
 hands the constructor such arrays; edits return a new graph that shares
 nothing with the old one. The closed-neighbourhood CSR (row v,
 ``closed[ptr[v]:ptr[v + 1]]``, is {v} | N(v) ascending) is built on first access
-and kept, so a draw whose features read only degrees never builds it; the open
-rows derive from it. All arrays are read-only. ``features`` packs closed
-neighbourhoods into 64-bit words, so that neighbourhood intersections and unions
-are word-wise AND/OR in numpy.
+and kept, so a draw whose features read only degrees never builds it; there is
+no open-row view. ``has_edge`` searches the sorted ``lo * n + hi`` edge keys.
+All arrays are read-only. ``features`` packs closed neighbourhoods into 64-bit
+words, so that neighbourhood intersections and unions are word-wise AND/OR in
+numpy.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class Graph:
 
     Build graphs with ``build_graph`` (or a generator); the constructor takes
     canonical row-major lo < hi edge arrays (int64) and checks nothing.
+    Neighbourhoods are read from the closed CSR; degrees from ``degrees``.
     ``_triangles`` memoizes the triangle count once ``features.count_triangles``
     or ``features.diameter`` has computed it, and ``_csr`` the closed (ptr,
     closed) pair once a kernel has read it.
@@ -83,36 +85,23 @@ class Graph:
             object.__setattr__(self, "_csr", (_read_only(ptr), _read_only(closed)))
         return self._csr
 
-    @property
-    def indptr(self) -> np.ndarray:  # open rows: N(v) is indices[indptr[v]:indptr[v + 1]]
-        return _read_only(self._closed_neighbourhoods()[0] - np.arange(self.node_count + 1))
-
-    @property
-    def indices(self) -> np.ndarray:
-        ptr, closed = self._closed_neighbourhoods()
-        return _read_only(closed[closed != np.repeat(np.arange(self.node_count), np.diff(ptr))])
-
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
-    def _row(self, v: int) -> np.ndarray:
-        ptr, closed = self._closed_neighbourhoods()
-        row = closed[ptr[v]:ptr[v + 1]]
-        return row[row != v]
+    def _edge_index(self, u: int, v: int) -> tuple[np.ndarray, int, int]:
+        """(keys, key, i): the row-major ``lo * n + hi`` edge keys, the key of
+        the pair {u, v} and its insertion index in keys; checks both node ids."""
+        _check_node(u, self.node_count)
+        _check_node(v, self.node_count)
+        n = self.node_count
+        keys = self.lo * n + self.hi
+        key = min(u, v) * n + max(u, v)
+        return keys, key, int(np.searchsorted(keys, key))
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self._row(u)
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
+        keys, key, i = self._edge_index(u, v)
+        return bool(i < len(keys) and keys[i] == key)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending (u, v) order."""
         return zip(self.lo.tolist(), self.hi.tolist())
-
-    @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets per node, derived from the CSR arrays on each access."""
-        return tuple(frozenset(self._row(v).tolist()) for v in range(self.node_count))
 
     def __repr__(self) -> str:  # keep reprs short; the arrays can be large
         return f"Graph(n={self.node_count}, m={self.edge_count})"
@@ -166,22 +155,12 @@ def toggle_edge(g: Graph, u: int, v: int) -> Graph:
     """Return a copy of ``g`` with the edge (u, v) flipped."""
     if u == v:
         raise InvalidEdge(f"cannot toggle self-loop ({u}, {v})")
-    _check_node(u, g.node_count)
-    _check_node(v, g.node_count)
-    n = g.node_count
-    keys = g.lo * n + g.hi
-    key = min(u, v) * n + max(u, v)
-    i = int(np.searchsorted(keys, key))
+    keys, key, i = g._edge_index(u, v)
     if i < len(keys) and keys[i] == key:
         keys = np.delete(keys, i)
     else:
         keys = np.insert(keys, i, key)
-    return Graph(n, *np.divmod(keys, n))
-
-
-def degree_sequence(g: Graph) -> np.ndarray:
-    """Degrees indexed by node id (read-only); sums to 2 * edge_count."""
-    return g.degrees
+    return Graph(g.node_count, *np.divmod(keys, g.node_count))
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
@@ -200,6 +179,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
 def shortest_path_distances(g: Graph, source: int) -> list[Optional[int]]:
     """Breadth-first hop counts from ``source``; None marks unreachable nodes."""
     _check_node(source, g.node_count)
+    ptr, closed = g._closed_neighbourhoods()
     dist: list[Optional[int]] = [None] * g.node_count
     dist[source] = 0
     frontier = [source]
@@ -208,7 +188,7 @@ def shortest_path_distances(g: Graph, source: int) -> list[Optional[int]]:
         d += 1
         nxt = []
         for u in frontier:
-            for v in g._row(u).tolist():
+            for v in closed[ptr[u]:ptr[u + 1]].tolist():  # u is already visited
                 if dist[v] is None:
                     dist[v] = d
                     nxt.append(v)

@@ -41,7 +41,7 @@ from .generators import (
 from .graph import Graph, induced_subgraph
 from .seeds import derive_seed
 
-DEFAULT_PSEUDO_COUNT = 0.5
+PSEUDO_COUNT = 0.5
 ZERO_VARIANCE_WEIGHT_CAP = 1e12
 DECISION_REL_TOL = 1e-9
 
@@ -61,7 +61,6 @@ class FeatureSamples:
 
     kind: FeatureKind
     values: np.ndarray
-    model_id: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -80,30 +79,27 @@ class FeatureSamples:
 
 @dataclass(frozen=True)
 class DiscretePmf:
-    """Observed counts with an additive pseudo-count for unseen values.
+    """Observed counts smoothed by a fixed additive pseudo-count of 0.5.
 
-    The evidence of value x is (count(x) + a0) / (n + a0 * s), where s counts
-    the distinct support values including x itself; always positive.
+    The evidence of value x is (count(x) + a0) / (n + a0 * s), with
+    a0 = ``PSEUDO_COUNT`` = 0.5 and s the number of distinct support values
+    including x itself; always positive.
     ``integer_domain`` is False when the pmf is the degenerate fallback for a
     zero-variance continuous sample, whose observations need not be integers.
     """
 
     counts: dict
     n: int
-    pseudo_count: float = DEFAULT_PSEUDO_COUNT
     integer_domain: bool = True
 
     def __post_init__(self):
         if self.n < 1 or sum(self.counts.values()) != self.n:
             raise InvalidInput("pmf counts must sum to n >= 1")
-        if self.pseudo_count <= 0:
-            raise InvalidInput("pseudo-count must be positive")
 
     def evaluate(self, x: float) -> float:
         x = float(x)
         support = len(self.counts) + (0 if x in self.counts else 1)
-        return (self.counts.get(x, 0) + self.pseudo_count) / (
-            self.n + self.pseudo_count * support)
+        return (self.counts.get(x, 0) + PSEUDO_COUNT) / (self.n + PSEUDO_COUNT * support)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,25 +135,22 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * scale * len(values) ** -0.2
 
 
-def estimate_density(samples: FeatureSamples,
-                     pseudo_count: float = DEFAULT_PSEUDO_COUNT) -> DensityEstimate:
+def estimate_density(samples: FeatureSamples) -> DensityEstimate:
     """Smoothed counts for discrete features, Silverman-bandwidth Gaussian KDE
     for continuous ones. A zero-variance continuous sample degrades to a point
     mass (a one-value DiscretePmf)."""
     values = samples.values
     if samples.kind.is_discrete:
-        return _pmf_from_values(values, pseudo_count, integer_domain=True)
+        return _pmf_from_values(values, integer_domain=True)
     if len(values) < 2 or float(np.std(values, ddof=1)) == 0.0:
-        return _pmf_from_values(values, pseudo_count, integer_domain=False)
+        return _pmf_from_values(values, integer_domain=False)
     return Kde(values, silverman_bandwidth(values))
 
 
-def _pmf_from_values(values: np.ndarray, pseudo_count: float,
-                     integer_domain: bool) -> DiscretePmf:
+def _pmf_from_values(values: np.ndarray, integer_domain: bool) -> DiscretePmf:
     uniq, counts = np.unique(values, return_counts=True)
     return DiscretePmf({float(u): int(c) for u, c in zip(uniq, counts)},
-                       n=len(values), pseudo_count=pseudo_count,
-                       integer_domain=integer_domain)
+                       n=len(values), integer_domain=integer_domain)
 
 
 def evidence(density: DensityEstimate, observed: float) -> float:
@@ -550,22 +543,20 @@ def grid_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKin
 
 
 def grid_evidences(observations: Sequence[tuple[FeatureKind, float]],
-                   matrices: Sequence[dict],
-                   pseudo_count: float = DEFAULT_PSEUDO_COUNT) -> np.ndarray:
+                   matrices: Sequence[dict]) -> np.ndarray:
     """Per grid point, the product over ``(kind, observed)`` pairs of the
     observed value's evidence under the point's density estimate (features
     treated as independent)."""
     product = np.ones(len(matrices))
     for kind, observed in observations:
         product *= np.asarray([
-            evidence(estimate_density(FeatureSamples(kind, m[kind]), pseudo_count), observed)
+            evidence(estimate_density(FeatureSamples(kind, m[kind])), observed)
             for m in matrices])
     return product
 
 
 def param_posterior(observed: float, kind: FeatureKind, spec: ModelSpec,
-                    n_per_point: int, master_seed: int, workers: int = 1,
-                    pseudo_count: float = DEFAULT_PSEUDO_COUNT) -> ParamPosterior:
+                    n_per_point: int, master_seed: int, workers: int = 1) -> ParamPosterior:
     """Posterior over the grid values of the spec's single gridded parameter.
 
     Each grid point gets ``n_per_point`` prior-predictive simulations; the
@@ -574,7 +565,7 @@ def param_posterior(observed: float, kind: FeatureKind, spec: ModelSpec,
     """
     [(param, grid, matrices)] = grid_feature_matrices([spec], [kind], n_per_point,
                                                       [master_seed], workers)
-    evidences = grid_evidences([(kind, observed)], matrices, pseudo_count)
+    evidences = grid_evidences([(kind, observed)], matrices)
     return grid_posterior([param] * len(grid.values), grid.values, evidences,
                           grid.weights)
 
@@ -747,8 +738,7 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
                    kinds: Sequence[FeatureKind], loss: LossKind,
                    n_samples: int, master_seed: int, workers: int = 1,
                    model_ids: tuple[str, str] = ("model_1", "model_2"),
-                   model_priors: tuple[float, float] = (0.5, 0.5),
-                   pseudo_count: float = DEFAULT_PSEUDO_COUNT) -> ComparisonReport:
+                   model_priors: tuple[float, float] = (0.5, 0.5)) -> ComparisonReport:
     """Full two-model comparison on the given features.
 
     Both models consume the same derived seed stream (sample i of either
@@ -773,10 +763,10 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
     zero1 = zero2 = False
     for kind in kinds:
         observed = float(extract_feature(data_graph, kind))
-        samples1 = FeatureSamples(kind, matrix1[kind], model_id=model_ids[0])
-        samples2 = FeatureSamples(kind, matrix2[kind], model_id=model_ids[1])
-        ev1 = evidence(estimate_density(samples1, pseudo_count), observed)
-        ev2 = evidence(estimate_density(samples2, pseudo_count), observed)
+        samples1 = FeatureSamples(kind, matrix1[kind])
+        samples2 = FeatureSamples(kind, matrix2[kind])
+        ev1 = evidence(estimate_density(samples1), observed)
+        ev2 = evidence(estimate_density(samples2), observed)
         el1 = expected_loss(samples1, observed, loss)
         el2 = expected_loss(samples2, observed, loss)
         if el2 == 0:

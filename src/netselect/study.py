@@ -20,7 +20,6 @@ from .features import FeatureKind, extract_feature
 from .generators import ModelSpec, model_spec_to_json, parse_model_spec, sample_graph
 # estimate_density and evidence stay importable here for perfbench/spans.py to wrap.
 from .inference import (  # noqa: F401
-    DEFAULT_PSEUDO_COUNT,
     FeatureSamples,
     LossKind,
     ParamPosterior,
@@ -147,9 +146,7 @@ def study_config_to_json(config: StudyConfig) -> dict:
 
 
 def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
-                  workers: int = 1,
-                  pseudo_count: float = DEFAULT_PSEUDO_COUNT,
-                  data_graph=None) -> list[StudyRowResult]:
+                  workers: int = 1) -> list[StudyRowResult]:
     """Evaluate one study row; returns one result per loss kind.
 
     Seeds: the data graph uses derive_seed(master, row, 0); candidate family
@@ -159,8 +156,7 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
     independent) and average per-feature loss ratios.
     """
     row_seed = derive_seed(config.master_seed, row_index)
-    if data_graph is None:
-        data_graph = sample_graph(row.data_spec, spawn_rng(row_seed, 0))
+    data_graph = sample_graph(row.data_spec, spawn_rng(row_seed, 0))
 
     # One pool covers every grid point and every feature of the row.
     families = grid_feature_matrices(
@@ -172,7 +168,7 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
     pooled = grid_posterior(
         [param for param, grid, _ in families for _ in grid.values],
         [value for _, grid, _ in families for value in grid.values],
-        np.concatenate([grid_evidences(observations, matrices, pseudo_count)
+        np.concatenate([grid_evidences(observations, matrices)
                         for _, _, matrices in families]))
 
     ids = [cand.id for cand in config.candidates]
@@ -202,11 +198,10 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
     return results
 
 
-def run_study(config: StudyConfig, workers: int = 1,
-              pseudo_count: float = DEFAULT_PSEUDO_COUNT) -> list[StudyRowResult]:
+def run_study(config: StudyConfig, workers: int = 1) -> list[StudyRowResult]:
     results: list[StudyRowResult] = []
     for r_index, row in enumerate(config.rows):
-        results.extend(run_study_row(row, config, r_index, workers, pseudo_count))
+        results.extend(run_study_row(row, config, r_index, workers))
     return results
 
 

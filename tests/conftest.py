@@ -11,3 +11,12 @@ def no_pool_across_tests():
     inference.shutdown_pool()
     yield
     inference.shutdown_pool()
+
+
+def adjacency_sets(g):
+    """Neighbour sets per node, built from ``g.edges()``: the tests' set oracle."""
+    sets = [set() for _ in range(g.node_count)]
+    for u, v in g.edges():
+        sets[u].add(v)
+        sets[v].add(u)
+    return sets

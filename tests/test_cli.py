@@ -482,6 +482,14 @@ def test_simulate_reads_out_and_format_from_its_config(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("n_samples", [True, 3.7, "5"])
+def test_simulate_rejects_a_non_integer_n_samples_in_its_config(tmp_path, capsys, n_samples):
+    study = json.loads(Path(study_config(tmp_path, n=30, samples=5)).read_text())
+    cfg = write_json(tmp_path / "cfg.json", dict(study, n_samples=n_samples))
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "config 'n_samples' has the wrong type" in capsys.readouterr().err
+
+
 def test_simulate_json_is_strict_when_a_loss_ratio_is_infinite(tmp_path, capsys):
     # The generating SBM draws exactly 2 blocks every time, so its expected
     # block_count loss is 0 and the loss ratio is infinite.
@@ -565,6 +573,16 @@ def test_load_rejects_self_loop_labels(tmp_path):
     data = tmp_path / "loop.tsv"
     data.write_text("a\ta\n")
     assert run_cli(["features", "--data", data, "--features", "link_density"]) == 2
+
+
+def test_load_remaps_labels_under_a_comment_that_is_not_a_header(tmp_path):
+    # "n=" inside another comment does not declare a node count
+    data = tmp_path / "labelled.tsv"
+    data.write_text("# exported from run=3\na\tb\nb\tc\n")
+    g = load_graph_file(str(data))
+    assert g.node_count == 3 and g.edge_count == 2
+    mapping = json.loads((tmp_path / "labelled.tsv.mapping.json").read_text())
+    assert mapping == {"a": 0, "b": 1, "c": 2}
 
 
 def test_load_never_remaps_files_with_header(tmp_path):

@@ -52,8 +52,9 @@ STUDY = {
                                            "p_in": 0.4, "p_out": 0.05}},
               "features": ["degree_entropy"], "losses": ["quadratic", "zero_one"]}],
 }
-STUDY_EDITS = [("n_samples", [2]), ("n_samples", 0), ("seed", "x"), ("threads", 2),
-               ("threads", "2"), ("windows", [{"param": "k"}]), ("rows", 5),
+STUDY_EDITS = [("n_samples", [2]), ("n_samples", 0), ("n_samples", True), ("n_samples", 2.5),
+               ("seed", "x"), ("threads", 2), ("threads", "2"),
+               ("windows", [{"param": "k"}]), ("rows", 5),
                ("candidates", STUDY["candidates"][:1])]
 # The flags of each command besides --config and --out, which all of them take.
 FLAGS = {

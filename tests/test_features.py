@@ -15,7 +15,6 @@ from netselect import (
     build_graph,
     count_triangles,
     degree_entropy,
-    density_and_clustering,
     diameter,
     equal_blocks,
     estimate_block_count,
@@ -23,6 +22,8 @@ from netselect import (
     fit_power_law_mle,
     generate_er,
     generate_sbm,
+    global_clustering,
+    link_density,
     power_law_mle,
     shortest_path_distances,
 )
@@ -109,7 +110,7 @@ def test_entropy_bounds_and_regularity():
         g = random_graph(n, rng.random(), rng)
         h = degree_entropy(g)
         assert 0.0 <= h <= math.log(max(n, 2)) + 1e-12
-        degrees = [g.degree(v) for v in range(n)]
+        degrees = g.degrees.tolist()
         if len(set(degrees)) == 1:
             assert h == 0.0
         else:
@@ -191,7 +192,7 @@ def test_block_count_inertia_matches_eigendecomposition():
     from netselect.features import _negative_inertia
     for _ in range(25):
         g = random_graph(int(rng.integers(4, 30)), rng.uniform(0.05, 0.6), rng)
-        degrees = np.array([g.degree(v) for v in range(g.node_count)], dtype=float)
+        degrees = g.degrees.astype(float)
         two_m = degrees.sum()
         if two_m == 0:
             continue
@@ -445,16 +446,17 @@ def test_bitset_kernel_memory_on_a_sparse_graph(kernel):
 
 
 def test_density_and_clustering_examples():
-    assert density_and_clustering(k_complete(3)) == (1.0, 1.0)
-    density, clustering = density_and_clustering(star_graph(4))
-    assert density == pytest.approx(0.5)
-    assert clustering == 0.0
-    assert density_and_clustering(build_graph(5, [])) == (0.0, 0.0)
+    assert (link_density(k_complete(3)), global_clustering(k_complete(3))) == (1.0, 1.0)
+    assert link_density(star_graph(4)) == pytest.approx(0.5)
+    assert global_clustering(star_graph(4)) == 0.0
+    empty = build_graph(5, [])
+    assert (link_density(empty), global_clustering(empty)) == (0.0, 0.0)
 
 
 def test_density_undefined_below_two_nodes():
-    with pytest.raises(UndefinedFeature):
-        density_and_clustering(build_graph(1, []))
+    for feature in (link_density, global_clustering):
+        with pytest.raises(UndefinedFeature):
+            feature(build_graph(1, []))
 
 
 def test_extractors_are_pure():

@@ -6,13 +6,13 @@ from netselect import (
     InvalidNode,
     ParseError,
     build_graph,
-    degree_sequence,
     induced_subgraph,
     read_edge_list,
     shortest_path_distances,
     toggle_edge,
     write_edge_list,
 )
+from conftest import adjacency_sets
 
 
 def k_complete(n):
@@ -32,7 +32,7 @@ def test_build_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.edge_count == 3
     assert g.node_count == 3
-    assert all(g.degree(v) == 2 for v in range(3))
+    assert all(g.degrees[v] == 2 for v in range(3))
 
 
 def test_build_dedups_reversed_edges():
@@ -70,16 +70,16 @@ def test_toggle_rejects_self_loop():
 
 
 def test_degree_sequence_examples():
-    assert degree_sequence(k_complete(3)).tolist() == [2, 2, 2]
-    assert degree_sequence(path_graph(3)).tolist() == [1, 2, 1]
-    assert degree_sequence(build_graph(4, [])).tolist() == [0, 0, 0, 0]
+    assert k_complete(3).degrees.tolist() == [2, 2, 2]
+    assert path_graph(3).degrees.tolist() == [1, 2, 1]
+    assert build_graph(4, []).degrees.tolist() == [0, 0, 0, 0]
 
 
 def test_degree_sum_is_twice_edges():
     rng = np.random.default_rng(17)
     for _ in range(20):
         g = random_graph(rng.integers(1, 12), rng.random(), rng)
-        assert degree_sequence(g).sum() == 2 * g.edge_count
+        assert g.degrees.sum() == 2 * g.edge_count
 
 
 def test_invariants_under_random_toggle_sequences():
@@ -88,11 +88,23 @@ def test_invariants_under_random_toggle_sequences():
     for _ in range(300):
         u, v = rng.choice(7, size=2, replace=False)
         g = toggle_edge(g, int(u), int(v))
+        sets = adjacency_sets(g)
         for x in range(7):
-            assert x not in g.adjacency[x]
-            for y in g.adjacency[x]:
-                assert x in g.adjacency[y]
-        assert sum(len(s) for s in g.adjacency) == 2 * g.edge_count
+            assert x not in sets[x]
+            for y in sets[x]:
+                assert x in sets[y]
+        assert sum(len(s) for s in sets) == 2 * g.edge_count
+
+
+def test_has_edge_checks_node_ids_as_toggle_edge_does():
+    g = build_graph(3, [(0, 1)])
+    for u, v in ((5, 0), (-1, 0), (0, 5), (0, 3)):
+        with pytest.raises(InvalidNode):
+            g.has_edge(u, v)
+        with pytest.raises(InvalidNode):
+            toggle_edge(g, u, v)
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    assert not g.has_edge(1, 1) and not g.has_edge(1, 2)
 
 
 def test_induced_subgraph_k4_to_k3():

@@ -54,19 +54,18 @@ def oracle_sets(n, edges):
 def assert_matches_oracle(g, sets):
     n = len(sets)
     assert g.node_count == n
-    assert len(g.indptr) == n + 1 and g.indptr[0] == 0
+    ptr, closed = g._closed_neighbourhoods()
+    assert len(ptr) == n + 1 and ptr[0] == 0
     for v in range(n):
-        row = g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
-        assert row == sorted(sets[v])  # sorted, no repeats, the right set
-        assert v not in row
-        assert all(v in sets[w] for w in row)
-    np.testing.assert_array_equal(g.degrees, np.bincount(g.indices, minlength=n))
+        row = closed[ptr[v]:ptr[v + 1]].tolist()
+        assert row == sorted(sets[v] | {v})  # sorted, no repeats, the right set
+        assert all(v in sets[w] for w in row if w != v)
+    np.testing.assert_array_equal(g.degrees, [len(s) for s in sets])
     assert g.edge_count == sum(len(s) for s in sets) // 2
     edges = sorted((u, v) for u in range(n) for v in sets[u] if u < v)
     assert list(g.edges()) == edges
     text = "".join(f"{u}\t{v}\n" for u, v in edges)
     assert write_edge_list(g) == f"# n={n}\n" + text
-    assert g.adjacency == tuple(frozenset(s) for s in sets)
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,15 +74,15 @@ def test_build_graph_matches_set_oracle(case):
     n, edges = case
     g = build_graph(n, edges)
     assert_matches_oracle(g, oracle_sets(n, edges))
-    for a in (g.indptr, g.indices, g.degrees):
+    for a in (g.lo, g.hi, g.degrees, *g._closed_neighbourhoods()):
         assert not a.flags.writeable
     assert read_edge_list(write_edge_list(g)) == g
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
 def test_closed_and_open_rows_match_the_edge_list(n):
-    """Rows that cross 64-bit word boundaries; the top quarter of the ids and
-    any node no pair touches stay isolated."""
+    """Closed rows and ``has_edge`` on rows that cross 64-bit word boundaries;
+    the top quarter of the ids and any node no pair touches stay isolated."""
     pairs = np.random.default_rng(n).integers(0, max(1, n - n // 4), size=(n, 2)).tolist()
     edges = [(u, v) for u, v in pairs if u != v]
     sets = oracle_sets(n, edges)
@@ -93,8 +92,6 @@ def test_closed_and_open_rows_match_the_edge_list(n):
     assert any(not s for s in sets) or n == 0
     for v in range(n):
         assert closed[ptr[v]:ptr[v + 1]].tolist() == sorted(sets[v] | {v})
-        assert g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() == sorted(sets[v])
-        assert g._row(v).tolist() == sorted(sets[v])
         assert [g.has_edge(v, u) for u in range(n)] == [u in sets[v] for u in range(n)]
     assert g._closed_neighbourhoods()[1] is closed  # built once, then kept
 
@@ -319,7 +316,8 @@ def test_degree_features_leave_the_csr_unbuilt(token):
     g = sample_graph(Sbm(60, 3, p_in=0.3, p_out=0.05), np.random.default_rng(1))
     extract_feature(g, FeatureKind(token))
     assert g._csr is None
-    assert g.indptr[-1] == 2 * g.edge_count and g._csr is not None
+    assert g._closed_neighbourhoods()[0][-1] == 2 * g.edge_count + g.node_count
+    assert g._csr is not None
 
 
 def test_pickle_carries_only_the_edge_arrays_and_every_array_is_read_only():
@@ -330,5 +328,5 @@ def test_pickle_carries_only_the_edge_arrays_and_every_array_is_read_only():
     assert copy == g and copy._csr is None and copy._triangles is None
     assert count_triangles(copy) == count_triangles(g)
     for graph in (g, copy):
-        for a in (graph.lo, graph.hi, graph.degrees, graph.indptr, graph.indices):
+        for a in (graph.lo, graph.hi, graph.degrees, *graph._closed_neighbourhoods()):
             assert not a.flags.writeable

@@ -3,14 +3,18 @@
 * every module-level private name (``_x``, not dunder) is used somewhere in
   the package besides its own definition, so dead helpers do not linger;
 * no top-level function or class name is defined in two modules, so no
-  helper is defined twice.
+  helper is defined twice;
+* every module attribute that ``perfbench/spans.py`` wraps still resolves, so
+  a deletion in ``src`` cannot break a traced benchmark run unnoticed.
 """
 
 import ast
+import importlib.util
 from collections import Counter, defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "netselect"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "netselect"
 
 
 def _trees() -> dict:
@@ -56,3 +60,20 @@ def test_no_function_or_class_is_defined_in_two_modules():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 homes[node.name].append(mod)
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves_and_is_restored():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()  # getattr raises if a wrapped name is gone
+    wrapped = list(tracer._restore)
+    try:
+        assert len({(module.__name__, attr) for module, attr, _ in wrapped}) == 21
+        assert all(callable(real) and getattr(module, attr) is not real
+                   for module, attr, real in wrapped)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, attr) is real for module, attr, real in wrapped)
