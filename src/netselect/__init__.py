@@ -87,8 +87,6 @@ from .inference import (
     estimate_density,
     evidence,
     expected_loss,
-    param_posterior,
-    pool_posteriors,
     posterior_model_probs,
     prior_predictive,
     range_probability,

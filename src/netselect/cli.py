@@ -217,10 +217,9 @@ def cmd_generate(opts: dict) -> int:
         raise InvalidSpec("generate needs --model and --out <directory>")
     spec = _apply_grid_flags(_load_model_spec(opts["model"]), opts["grid"])
     n_samples, seed = opts.get("samples", DEFAULT_SAMPLES), opts.get("seed", 0)
+    graphs = prior_predictive(spec, n_samples, seed, workers=opts.get("threads", 1))
     out_dir = opts["out"]
     os.makedirs(out_dir, exist_ok=True)
-
-    graphs = prior_predictive(spec, n_samples, seed, workers=opts.get("threads", 1))
     manifest = {
         "model": model_spec_to_json(spec),
         "n_samples": n_samples,

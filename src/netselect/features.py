@@ -42,6 +42,14 @@ DEFAULT_K_MAX = 16
 BLOCK_COUNT_METHOD = "bethe_hessian"
 
 
+def _strict_int(value, name: str) -> int:
+    """``value`` itself when it is an integer and not a bool; a float, a string
+    or a bool in an integer field of a spec is an error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FeatureKind:
     """A feature selector: token name plus the parameters some kinds take.
@@ -79,12 +87,9 @@ class FeatureKind:
         if isinstance(obj, str):
             return cls(obj)
         if isinstance(obj, dict) and "kind" in obj:
-            try:
-                return cls(obj["kind"],
-                           d_min=int(obj.get("d_min", DEFAULT_D_MIN)),
-                           k_max=int(obj.get("k_max", DEFAULT_K_MAX)))
-            except (TypeError, ValueError):
-                raise InvalidSpec(f"cannot parse feature kind from {obj!r}") from None
+            return cls(obj["kind"],
+                       d_min=_strict_int(obj.get("d_min", DEFAULT_D_MIN), "d_min"),
+                       k_max=_strict_int(obj.get("k_max", DEFAULT_K_MAX), "k_max"))
         raise InvalidSpec(f"cannot parse feature kind from {obj!r}")
 
 

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInput, InvalidSpec
-from .features import count_triangles
+from .features import _strict_int, count_triangles
 from .graph import Graph, _canonical_pairs
 
 _PAIR_CHUNK = 1 << 20  # max Bernoulli draws per RNG call when sampling pair sets
@@ -302,8 +302,7 @@ class LogLinear:
                               f"got {self.strength} and {[w for w, _ in terms]}")
         for name, least in (("burn_in", 0), ("thin", 1)):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)
-                                      or value < least):
+            if value is not None and _strict_int(value, name) < least:
                 raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
         for _, term in terms:
             if isinstance(term, IndividualEdgeTerm) and not (
@@ -390,9 +389,9 @@ def _parse_term(obj: dict) -> tuple[float, ConcordanceTerm]:
     if kind == "triangle_count":
         return weight, TriangleCountTerm()
     if kind == "degree_count":
-        return weight, DegreeCountTerm(int(obj["d"]))
+        return weight, DegreeCountTerm(_strict_int(obj["d"], "d"))
     if kind == "individual_edge":
-        return weight, IndividualEdgeTerm(int(obj["u"]), int(obj["v"]))
+        return weight, IndividualEdgeTerm(_strict_int(obj["u"], "u"), _strict_int(obj["v"], "v"))
     raise InvalidSpec(f"unknown concordance function id {kind!r}")
 
 
@@ -430,19 +429,19 @@ def parse_model_spec(obj: dict) -> ModelSpec:
     if not isinstance(obj, dict) or "type" not in obj or "n" not in obj:
         raise InvalidSpec("model spec must be an object with 'type' and 'n'")
     kind = obj["type"]
-    n = int(obj["n"])
+    n = _strict_int(obj["n"], "n")
     if kind == "er":
         return ErdosRenyi(n, parse_prior(obj["p"]))
     if kind == "sbm":
         k = obj.get("k", obj.get("K"))
         if k is None:
             raise InvalidSpec("sbm spec needs a block count 'k'")
-        k = int(k) if isinstance(k, (int, float)) and not isinstance(k, bool) else parse_prior(k)
+        k = parse_prior(k) if isinstance(k, dict) else _strict_int(k, "k")
         membership = obj.get("membership")
         if isinstance(membership, dict) and "dirichlet" in membership:
             membership = DirichletMembership(float(membership["dirichlet"]))
         elif isinstance(membership, list):
-            membership = tuple(int(b) for b in membership)
+            membership = tuple(_strict_int(b, "membership label") for b in membership)
         elif membership is not None:
             raise InvalidSpec(f"cannot parse membership {membership!r}")
         edge_probs = obj.get("edge_probs")
@@ -452,7 +451,7 @@ def parse_model_spec(obj: dict) -> ModelSpec:
         p_out = obj.get("p_out")
         return Sbm(n, k, p_in=p_in, p_out=p_out, edge_probs=edge_probs, membership=membership)
     if kind == "powerlaw":
-        return PowerLaw(n, parse_prior(obj["alpha"]), int(obj.get("d_min", 1)))
+        return PowerLaw(n, parse_prior(obj["alpha"]), _strict_int(obj.get("d_min", 1), "d_min"))
     if kind == "loglinear":
         terms = tuple(_parse_term(t) for t in obj.get("terms", []))
         return LogLinear(n, float(obj["lambda"]), terms,
@@ -652,7 +651,7 @@ def default_thin(n: int) -> int:
 
 
 def mh_loglinear_sample(spec: LogLinear, count: int,
-                        rng: Optional[np.random.Generator] = None) -> list[Graph]:
+                        rng: np.random.Generator) -> list[Graph]:
     """Metropolis-Hastings sampler for the log-linear concordance model.
 
     Starting from the empty graph, each step first holds with probability 0.1
@@ -671,8 +670,6 @@ def mh_loglinear_sample(spec: LogLinear, count: int,
     """
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
-    if rng is None:
-        rng = np.random.default_rng()
     n = spec.n
     burn_in = spec.burn_in if spec.burn_in is not None else default_burn_in(n)
     thin = spec.thin if spec.thin is not None else default_thin(n)

@@ -478,15 +478,15 @@ def simulate_feature_matrix(spec: ModelSpec, kinds: Sequence[FeatureKind],
 
 @dataclass(frozen=True)
 class ParamPosterior:
-    """Posterior weights over labeled grid points.
+    """Posterior weights over labeled grid points, all equally probable a priori.
 
-    ``params`` carries the parameter name per point so posteriors over
-    different parameters can be pooled into one hypothesis grid.
+    ``params`` carries the parameter name per point, so the grid points of
+    several families (over different parameters) pool into one hypothesis
+    grid.
     """
 
     params: tuple[str, ...]
     values: tuple[float, ...]
-    prior_weights: tuple[float, ...]
     evidences: tuple[float, ...]
     posterior_weights: tuple[float, ...]
 
@@ -500,16 +500,13 @@ class ParamPosterior:
 
 
 def grid_posterior(params: Sequence[str], values: Sequence[float],
-                   evidences: Sequence[float],
-                   priors: Optional[Sequence[float]] = None) -> ParamPosterior:
-    """Posterior over labeled grid points; all equally probable a priori
-    when ``priors`` is None."""
-    if priors is None:
-        priors = [1.0 / len(params)] * len(params)
+                   evidences: Sequence[float]) -> ParamPosterior:
+    """Flat-prior posterior over labeled grid points: each of the N points
+    has prior 1/N, and its posterior is proportional to its evidence."""
+    n = len(params)
     return ParamPosterior(tuple(params), tuple(float(v) for v in values),
-                          tuple(float(p) for p in priors),
                           tuple(float(e) for e in evidences),
-                          tuple(posterior_model_probs(evidences, priors)))
+                          tuple(posterior_model_probs(evidences, [1.0 / n] * n)))
 
 
 def grid_points(spec: ModelSpec) -> tuple[str, GridPrior]:
@@ -553,34 +550,6 @@ def grid_evidences(observations: Sequence[tuple[FeatureKind, float]],
             evidence(estimate_density(FeatureSamples(kind, m[kind])), observed)
             for m in matrices])
     return product
-
-
-def param_posterior(observed: float, kind: FeatureKind, spec: ModelSpec,
-                    n_per_point: int, master_seed: int, workers: int = 1) -> ParamPosterior:
-    """Posterior over the grid values of the spec's single gridded parameter.
-
-    Each grid point gets ``n_per_point`` prior-predictive simulations; the
-    observed feature's evidence under each point's density estimate is
-    weighted by the grid prior and normalized.
-    """
-    [(param, grid, matrices)] = grid_feature_matrices([spec], [kind], n_per_point,
-                                                      [master_seed], workers)
-    evidences = grid_evidences([(kind, observed)], matrices)
-    return grid_posterior([param] * len(grid.values), grid.values, evidences,
-                          grid.weights)
-
-
-def pool_posteriors(posteriors: Sequence[ParamPosterior]) -> ParamPosterior:
-    """Merge per-family posteriors into one flat-prior hypothesis grid.
-
-    All grid points across families are treated as equally probable a
-    priori; their stored evidences are renormalized jointly.
-    """
-    if len(posteriors) == 0:
-        raise InvalidInput("need at least one posterior to pool")
-    return grid_posterior([p for post in posteriors for p in post.params],
-                          [v for post in posteriors for v in post.values],
-                          [e for post in posteriors for e in post.evidences])
 
 
 # --------------------------------------------------------------------------
@@ -655,6 +624,19 @@ class ComparisonReport:
     matrices: tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
 
+#: Each per-feature report field after ``kind``: (JSON key and CSV column,
+#: ``FeatureComparison`` attribute), in output order.
+_FEATURE_KEYS = (
+    ("observed", "observed"),
+    ("evidence_1", "evidence_1"),
+    ("evidence_2", "evidence_2"),
+    ("bayes_factor", "bayes_factor"),
+    ("el_1", "expected_loss_1"),
+    ("el_2", "expected_loss_2"),
+    ("loss_ratio", "loss_ratio"),
+)
+
+
 def _json_number(x: float):
     return "inf" if math.isinf(x) else x
 
@@ -673,13 +655,7 @@ def report_to_json(report: ComparisonReport) -> dict:
         "loss": {"kind": report.loss.kind, "tolerance": report.loss.tolerance},
         "features": [
             {**fc.kind.to_json(),
-             "observed": fc.observed,
-             "evidence_1": fc.evidence_1,
-             "evidence_2": fc.evidence_2,
-             "bayes_factor": _json_number(fc.bayes_factor),
-             "el_1": fc.expected_loss_1,
-             "el_2": fc.expected_loss_2,
-             "loss_ratio": fc.loss_ratio}
+             **{key: _json_number(getattr(fc, attr)) for key, attr in _FEATURE_KEYS}}
             for fc in report.features
         ],
         "combined_ratio": report.combined_ratio,
@@ -693,16 +669,8 @@ def report_to_json(report: ComparisonReport) -> dict:
 
 def report_from_json(obj: dict) -> ComparisonReport:
     features = tuple(
-        FeatureComparison(
-            kind=FeatureKind.from_json(fc),
-            observed=float(fc["observed"]),
-            evidence_1=float(fc["evidence_1"]),
-            evidence_2=float(fc["evidence_2"]),
-            bayes_factor=_parse_number(fc["bayes_factor"]),
-            expected_loss_1=float(fc["el_1"]),
-            expected_loss_2=float(fc["el_2"]),
-            loss_ratio=float(fc["loss_ratio"]),
-        )
+        FeatureComparison(kind=FeatureKind.from_json(fc),
+                          **{attr: _parse_number(fc[key]) for key, attr in _FEATURE_KEYS})
         for fc in obj["features"]
     )
     loss = obj.get("loss", {"kind": "quadratic", "tolerance": 0.0})
@@ -724,13 +692,10 @@ def report_from_json(obj: dict) -> ComparisonReport:
 
 def report_features_csv(report: ComparisonReport) -> str:
     """The per-feature table as CSV."""
-    lines = ["kind,observed,evidence_1,evidence_2,bayes_factor,el_1,el_2,loss_ratio"]
+    lines = [",".join(["kind", *(key for key, _ in _FEATURE_KEYS)])]
     for fc in report.features:
-        bf = "inf" if math.isinf(fc.bayes_factor) else repr(fc.bayes_factor)
-        lines.append(",".join([
-            fc.kind.name, repr(fc.observed), repr(fc.evidence_1), repr(fc.evidence_2),
-            bf, repr(fc.expected_loss_1), repr(fc.expected_loss_2), repr(fc.loss_ratio),
-        ]))
+        lines.append(",".join([fc.kind.name,
+                               *(repr(getattr(fc, attr)) for _, attr in _FEATURE_KEYS)]))
     return "\n".join(lines) + "\n"
 
 
@@ -750,6 +715,9 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidInput("need at least one feature")
+    if len({tuple(k.to_json().items()) for k in kinds}) < len(kinds):
+        # the posterior odds multiply per-feature evidences: a repeat counts twice
+        raise InvalidInput(f"each feature may be given once, got {[k.name for k in kinds]}")
     if not (min(model_priors) >= 0 and 0 < sum(model_priors) < math.inf):
         raise InvalidInput(f"model_priors must be finite and non-negative with a "
                            f"positive sum, got {model_priors}")

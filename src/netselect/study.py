@@ -90,6 +90,9 @@ class StudyConfig:
             if row.data_id not in ids:
                 raise InvalidSpec(
                     f"row data id {row.data_id!r} matches no candidate {ids}")
+            if len({tuple(k.to_json().items()) for k in row.features}) < len(row.features):
+                raise InvalidSpec(f"each row feature may be given once, got "
+                                  f"{[k.name for k in row.features]}")
         if self.n_samples < 1:
             raise InvalidSpec("n_samples must be >= 1")
 

@@ -101,13 +101,23 @@ SBM = {"type": "sbm", "n": 10, "k": 2, "p_in": 0.5, "p_out": 0.1}
     dict(LOGLINEAR, n=10, terms=[{"weight": 5.0, "f": "individual_edge", "u": 0, "v": 50},
                                  {"weight": -1.0, "f": "individual_edge", "u": -1, "v": 3}]),
     dict(LOGLINEAR, terms=[{"weight": 1.0, "f": "individual_edge", "u": -1, "v": 3}]),
+    {"type": "er", "n": True, "p": 0.5},
+    {"type": "er", "n": 6.9, "p": 0.5},
+    {"type": "er", "n": "7", "p": 0.5},
+    {"type": "powerlaw", "n": 10, "alpha": 3.0, "d_min": 1.9},
+    dict(SBM, k=2.7),
+    dict(SBM, membership=[0, 1] * 4 + [0.5, 1]),
+    dict(LOGLINEAR, terms=[{"weight": 1.0, "f": "degree_count", "d": 1.5}]),
+    dict(LOGLINEAR, terms=[{"weight": 1.0, "f": "individual_edge", "u": 0.9, "v": 3}]),
 ], ids=["powerlaw_infinite_alpha", "sbm_infinite_k", "powerlaw_infinite_grid_value",
         "infinite_grid_weight", "thin_string", "thin_float",
         "thin_bool", "negative_burn_in", "nan_lambda", "nan_weight",
         "er_nan_point", "powerlaw_nan_point", "powerlaw_infinite_point",
         "sbm_nan_point_k", "sbm_infinite_point_k", "sbm_huge_grid_k", "sbm_k_above_n",
         "dirichlet_nan", "dirichlet_infinite", "membership_above_least_grid_k",
-        "individual_edge_outside_n", "individual_edge_negative_u"])
+        "individual_edge_outside_n", "individual_edge_negative_u",
+        "n_bool", "n_float", "n_string", "powerlaw_float_d_min", "sbm_float_k",
+        "membership_float_label", "degree_count_float_d", "individual_edge_float_u"])
 def test_generate_rejects_bad_spec_numbers(tmp_path, capsys, spec):
     """Numbers of the right JSON type but unusable value fail when the spec is
     parsed (exit 2), not with a traceback or a silently meaningless draw."""
@@ -115,6 +125,12 @@ def test_generate_rejects_bad_spec_numbers(tmp_path, capsys, spec):
     assert run_cli(["generate", "--model", path, "--samples", 1,
                     "--seed", 0, "--out", tmp_path / "x"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_that_fails_leaves_no_out_directory(tmp_path, er_spec):
+    assert run_cli(["generate", "--model", er_spec, "--samples", 0,
+                    "--out", tmp_path / "x"]) == 2
     assert not (tmp_path / "x").exists()
 
 
@@ -155,6 +171,18 @@ def test_features_csv_format(tmp_path, capsys):
     assert lines[0] == "kind,value,discrete"
     assert lines[1].startswith("link_density,0.0")
     assert lines[2] == "power_law_exponent,NA,False"
+
+
+@pytest.mark.parametrize("kind", [{"kind": "block_count", "k_max": 2.5},
+                                  {"kind": "power_law_exponent", "d_min": True}],
+                         ids=["float_k_max", "bool_d_min"])
+def test_a_non_integer_feature_parameter_in_a_config_is_an_input_error(tmp_path, capsys,
+                                                                       kind):
+    data = tmp_path / "g.tsv"
+    data.write_text("# n=3\n0\t1\n")
+    cfg = write_json(tmp_path / "cfg.json", {"features": [kind]})
+    assert run_cli(["features", "--config", cfg, "--data", data]) == 2
+    assert "must be an integer" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +244,28 @@ def test_compare_csv_export(tmp_path, capsys):
     assert lines[0] == \
         "kind,observed,evidence_1,evidence_2,bayes_factor,el_1,el_2,loss_ratio"
     assert len(lines) == 2
+    assert run_cli(["compare", "--data", data, "--model", m1, "--model2", m1,
+                    "--features", "link_density", "--samples", 20,
+                    "--seed", 1]) == 0
+    [row] = json.loads(capsys.readouterr().out)["features"]
+    cells = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert cells.pop("kind") == row["kind"]
+    assert cells == {key: repr(float(row[key])) for key in cells}
+
+
+@pytest.mark.parametrize("features", [
+    "triangle_count,triangle_count",
+    ["triangle_count", "link_density", {"kind": "triangle_count", "d_min": 2}],
+], ids=["same_token", "same_kind_other_ignored_parameter"])
+def test_compare_rejects_a_repeated_feature(tmp_path, capsys, features):
+    # The posterior odds multiply per-feature evidences, so a repeat would
+    # count one feature's evidence twice and could flip the decision.
+    data = make_data_graph(tmp_path, {"type": "er", "n": 10, "p": 0.5})
+    m = write_json(tmp_path / "m.json", {"type": "er", "n": 10, "p": 0.5})
+    cfg = write_json(tmp_path / "cfg.json", {"features": features})
+    assert run_cli(["compare", "--config", cfg, "--data", data, "--model", m,
+                    "--model2", m, "--samples", 5, "--seed", 0]) == 2
+    assert "each feature may be given once" in capsys.readouterr().err
 
 
 def test_compare_rerun_is_byte_identical(tmp_path):

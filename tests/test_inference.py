@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import json
 import math
 import multiprocessing.connection
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from netselect import (
     DirichletMembership,
     DiscretePmf,
     ErdosRenyi,
+    FeatureComparison,
     FeatureKind,
     FeatureSamples,
     GridPrior,
@@ -48,8 +51,6 @@ from netselect import (
     expected_loss,
     extract_feature,
     generate_er,
-    param_posterior,
-    pool_posteriors,
     posterior_model_probs,
     range_probability,
     report_from_json,
@@ -60,7 +61,13 @@ from netselect import (
     simulate_feature_matrices,
     simulate_feature_matrix,
 )
-from netselect.inference import fix_grid_point, grid_feature_matrices, grid_points
+from netselect.inference import (
+    fix_grid_point,
+    grid_evidences,
+    grid_feature_matrices,
+    grid_points,
+    grid_posterior,
+)
 from netselect.seeds import derive_seed
 
 
@@ -309,44 +316,38 @@ def test_range_rejects_inverted_bounds():
 # Parameter posteriors
 # --------------------------------------------------------------------------
 
-def test_param_posterior_single_point():
-    spec = ErdosRenyi(10, GridPrior((0.3,)))
-    post = param_posterior(5.0, FeatureKind("triangle_count"), spec,
-                           n_per_point=30, master_seed=1)
+def one_family_posterior(spec, observed, n_per_point, master_seed):
+    """The flat-prior posterior over one gridded spec's points, given the
+    triangle count ``observed``."""
+    kind = FeatureKind("triangle_count")
+    [(param, grid, matrices)] = grid_feature_matrices([spec], [kind], n_per_point,
+                                                      [master_seed])
+    return grid_posterior([param] * len(grid.values), grid.values,
+                          grid_evidences([(kind, observed)], matrices))
+
+
+def test_grid_posterior_single_point():
+    post = one_family_posterior(ErdosRenyi(10, GridPrior((0.3,))), 5.0,
+                                n_per_point=30, master_seed=1)
     assert post.posterior_weights == (1.0,)
 
 
-def test_param_posterior_identical_points_split_evenly():
+def test_grid_posterior_identical_points_split_evenly():
     # Two grid points with the same value share the per-sample seed stream,
     # so their evidences match exactly.
-    spec = ErdosRenyi(10, GridPrior((0.3, 0.3)))
-    post = param_posterior(5.0, FeatureKind("triangle_count"), spec,
-                           n_per_point=30, master_seed=1)
+    post = one_family_posterior(ErdosRenyi(10, GridPrior((0.3, 0.3))), 5.0,
+                                n_per_point=30, master_seed=1)
     assert post.posterior_weights == (0.5, 0.5)
 
 
-def test_param_posterior_window_probability():
-    spec = ErdosRenyi(12, GridPrior((0.1, 0.2, 0.8)))
+def test_grid_posterior_window_probability():
     observed = float(generate_er(12, 0.15, np.random.default_rng(0)).edge_count)
-    post = param_posterior(observed, FeatureKind("triangle_count"), spec,
-                           n_per_point=40, master_seed=2)
+    post = one_family_posterior(ErdosRenyi(12, GridPrior((0.1, 0.2, 0.8))), observed,
+                                n_per_point=40, master_seed=2)
     total = post.window_probability("p", 0.0, 1.0)
     assert total == pytest.approx(1.0)
     low = post.window_probability("p", 0.0, 0.3)
     assert 0.0 <= low <= 1.0
-
-
-def test_pool_posteriors_joint_grid():
-    spec_a = ErdosRenyi(10, GridPrior((0.2,)))
-    spec_b = ErdosRenyi(10, GridPrior((0.8,)))
-    kind = FeatureKind("triangle_count")
-    observed = float(generate_er(10, 0.2, np.random.default_rng(5)).edge_count)
-    post_a = param_posterior(observed, kind, spec_a, 50, master_seed=3)
-    post_b = param_posterior(observed, kind, spec_b, 50, master_seed=4)
-    pooled = pool_posteriors([post_a, post_b])
-    assert len(pooled.values) == 2
-    assert sum(pooled.posterior_weights) == pytest.approx(1.0)
-    assert pooled.prior_weights == (0.5, 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -642,7 +643,19 @@ def test_report_json_round_trip():
     report = compare_models(data, spec1, spec2,
                             [FeatureKind("triangle_count")],
                             LossKind("quadratic"), n_samples=30, master_seed=2)
-    assert report_from_json(report_to_json(report)) == report
+    infinite = replace(report, features=(replace(report.features[0], bayes_factor=math.inf),))
+    for original, bayes_factor in ((report, report.features[0].bayes_factor),
+                                   (infinite, "inf")):
+        obj = json.loads(json.dumps(report_to_json(original)))
+        assert obj["features"][0]["bayes_factor"] == bayes_factor
+        assert report_from_json(obj) == original
+
+
+def test_every_feature_comparison_field_has_a_report_key():
+    # A field without a key would be dropped from JSON and CSV reports, and
+    # report_from_json could not rebuild it.
+    attrs = {attr for _, attr in inference._FEATURE_KEYS}
+    assert {"kind"} | attrs == {f.name for f in fields(FeatureComparison)}
 
 
 def test_simulate_feature_matrix_worker_independence():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -118,6 +119,38 @@ def test_workers_do_not_change_results():
     serial = study_results_csv(config, run_study(config, workers=1))
     parallel = study_results_csv(config, run_study(config, workers=2))
     assert serial == parallel
+
+
+def test_study_row_pools_two_families_under_a_flat_prior():
+    config = StudyConfig(
+        candidates=(Candidate("a", ErdosRenyi(10, GridPrior((0.2,)))),
+                    Candidate("b", ErdosRenyi(10, GridPrior((0.8,))))),
+        windows=(Window("p", 0.0, 0.5),),
+        rows=(StudyRow("a", ErdosRenyi(10, PointPrior(0.2)), (FeatureKind("triangle_count"),),
+                       (LossKind("quadratic"),)),),
+        n_samples=50,
+        master_seed=3,
+    )
+    [res] = run_study_row(config.rows[0], config, 0)
+    post = res.posterior
+    assert post.params == ("p", "p") and post.values == (0.2, 0.8)
+    # equal priors cancel: each point's weight is its share of the evidence
+    total = sum(post.evidences)
+    assert post.posterior_weights == pytest.approx([e / total for e in post.evidences])
+    assert sum(post.posterior_weights) == pytest.approx(1.0)
+    assert res.window_probabilities == (post.posterior_weights[0],)
+
+
+@pytest.mark.parametrize("kinds", [
+    (FeatureKind("triangle_count"), FeatureKind("triangle_count")),
+    (FeatureKind("triangle_count"), FeatureKind("triangle_count", k_max=3)),
+], ids=["same_kind", "same_kind_other_ignored_parameter"])
+def test_a_study_row_rejects_a_repeated_feature(kinds):
+    # Grid evidences multiply across a row's features, so a repeat would
+    # count one feature's evidence twice.
+    row = StudyRow("alpha", PowerLaw(50, PointPrior(3.2)), kinds, (LossKind("quadratic"),))
+    with pytest.raises(InvalidSpec, match="given once"):
+        replace(small_config(), rows=(row,))
 
 
 def test_family_whose_evidences_all_underflow_keeps_the_pooled_posterior():
