@@ -10,6 +10,7 @@ Five workflows: ``generate`` (prior-predictive edge lists), ``features``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -28,9 +29,9 @@ from .errors import (
     UndefinedFeature,
     UndefinedPosterior,
 )
-from .features import FeatureKind, extract_feature
+from .features import FeatureKind, _list_of, _read, _strict_float, _typed, extract_feature
 from .generators import GRID_PARAMS, GridPrior, ModelSpec, model_spec_to_json, parse_model_spec
-from .graph import _HEADER_RE, Graph, build_graph, read_edge_list, write_edge_list
+from .graph import Graph, _edge_lines, build_graph, read_edge_list, write_edge_list
 # simulate_feature_matrix stays importable here for perfbench/spans.py to wrap.
 from .inference import (  # noqa: F401
     DiscretePmf,
@@ -57,28 +58,9 @@ _INDETERMINATE_ERRORS = (UndefinedBayesFactor, UndefinedPosterior, DegenerateRat
 # Shared helpers
 # --------------------------------------------------------------------------
 
-#: The types each config key may take (a bool is never accepted).
-_CONFIG_TYPES = {
-    "model": (str, dict), "model2": (str, dict), "models": list, "data": str,
-    "features": (str, list), "ranges": list, "loss": (str, dict),
-    "samples": int, "n_samples": int, "seed": int, "threads": int,
-    "model_priors": list, "format": str, "out": str, "plot_data": str,
-}
-
-
-def _load_json(path: Optional[str]) -> dict:
-    """The JSON object in ``path`` ({} without a path), its config keys type-checked."""
-    if not path:
-        return {}
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise InvalidSpec(f"{path} must hold a JSON object, not {type(obj).__name__}")
-    for key, types in _CONFIG_TYPES.items():
-        value = obj.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
-            raise InvalidSpec(f"config {key!r} has the wrong type: {value!r}")
-    return obj
+        return json.load(fh)
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -95,10 +77,7 @@ def _dump_json(obj) -> str:
 
 def _load_model_spec(source) -> ModelSpec:
     """Model spec from a file path (CLI) or an inline JSON object (config)."""
-    try:
-        return parse_model_spec(_load_json(source) if isinstance(source, str) else source)
-    except (TypeError, OverflowError) as exc:
-        raise InvalidSpec(f"malformed model spec {source!r}: {exc}") from None
+    return parse_model_spec(_load_json(source) if isinstance(source, str) else source)
 
 
 def _model_label(source, fallback: str) -> str:
@@ -119,51 +98,29 @@ def load_graph_file(path: str) -> Graph:
         text = fh.read()
     try:
         return read_edge_list(text)
-    except ParseError as canonical_error:
-        # files that declare a node count are canonical: report their errors
-        if any(_HEADER_RE.match(line.strip()) for line in text.splitlines()):
-            raise
-        graph, mapping = _remap_labels(text, canonical_error)
-        sidecar = path + ".mapping.json"
-        try:
-            with open(sidecar, "w", encoding="utf-8") as fh:
-                fh.write(_dump_json(mapping))
-        except OSError as exc:  # graph is still usable without the sidecar
-            print(f"warning: could not write {sidecar}: {exc}", file=sys.stderr)
-        return graph
-
-
-def _remap_labels(text: str, canonical_error: ParseError) -> tuple[Graph, dict]:
-    pairs: list[tuple[str, str]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise canonical_error
-        a, b = parts
-        if a == b:
-            raise ParseError(f"self-loop ({a}, {b})", ln)
-        pairs.append((a, b))
-    if not pairs:
-        raise canonical_error
-    labels = sorted({x for pair in pairs for x in pair})
-    try:
+    except ParseError:
+        node_count, lines = _edge_lines(text)
+        if node_count is not None or not lines:
+            raise  # a file that declares a node count is canonical: report its error
+    labels = sorted({label for _, u, v in lines for label in (u, v)})
+    with contextlib.suppress(ValueError):  # non-integer labels stay lexicographic
         labels.sort(key=int)
-    except ValueError:
-        pass  # non-integer labels stay lexicographic
     mapping = {label: i for i, label in enumerate(labels)}
-    graph = build_graph(len(labels), [(mapping[a], mapping[b]) for a, b in pairs])
-    return graph, mapping
+    graph = build_graph(len(labels), [(mapping[u], mapping[v]) for _, u, v in lines])
+    sidecar = path + ".mapping.json"
+    try:
+        with open(sidecar, "w", encoding="utf-8") as fh:
+            fh.write(_dump_json(mapping))
+    except OSError as exc:  # graph is still usable without the sidecar
+        print(f"warning: could not write {sidecar}: {exc}", file=sys.stderr)
+    return graph
 
 
 def _parse_features(value) -> list[FeatureKind]:
     if value is None:
         raise InvalidSpec("no features given (use --features or config 'features')")
     if isinstance(value, str):
-        tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
-        return [FeatureKind(tok) for tok in tokens]
+        value = [tok.strip() for tok in value.split(",") if tok.strip()]
     return [FeatureKind.from_json(item) for item in value]
 
 
@@ -172,16 +129,16 @@ def _parse_ranges(values) -> list[tuple[FeatureKind, float, float]]:
         raise InvalidSpec("no ranges given (use --range feature:lo:hi)")
     out = []
     for item in values:
-        if isinstance(item, str) and item.count(":") == 2:
-            feature, lo, hi = item.split(":")
-        elif isinstance(item, dict):
-            feature, lo, hi = item.get("feature", item.get("kind")), item.get("lo"), item.get("hi")
+        if isinstance(item, str):
+            try:
+                feature, lo, hi = item.split(":")
+                kind, lo, hi = FeatureKind(feature), float(lo), float(hi)
+            except ValueError:
+                raise InvalidSpec(f"range must be feature:lo:hi, got {item!r}") from None
         else:
-            raise InvalidSpec(f"range must be feature:lo:hi or an object, got {item!r}")
-        try:
-            kind, lo, hi = FeatureKind.from_json(feature), float(lo), float(hi)
-        except (TypeError, ValueError):
-            raise InvalidSpec(f"cannot parse range {item!r}") from None
+            kind, lo, hi = _read(item, {"feature": (FeatureKind.from_json, ...),
+                                        "lo": (_strict_float, ...),
+                                        "hi": (_strict_float, ...)}, "range").values()
         if not (np.isfinite((lo, hi)).all() and lo <= hi):
             raise InvalidSpec(f"range needs finite lo <= hi, got [{lo}, {hi}]")
         out.append((kind, lo, hi))
@@ -271,17 +228,16 @@ def cmd_compare(opts: dict) -> int:
     spec2 = _load_model_spec(opts["model2"])
     kinds = _parse_features(opts.get("features"))
     loss = LossKind.from_json(opts.get("loss", "quadratic"))
-    priors = opts.get("model_priors", [0.5, 0.5])
-    if len(priors) != 2 or not all(type(p) in (int, float) and abs(p) <= sys.float_info.max
-                                   for p in priors):
-        raise InvalidSpec(f"model_priors must be two finite numbers, got {priors!r}")
+    priors = opts.get("model_priors", (0.5, 0.5))
+    if len(priors) != 2:
+        raise InvalidSpec(f"model_priors must be two numbers, got {list(priors)}")
 
     report = compare_models(
         graph, spec1, spec2, kinds, loss, opts.get("samples", DEFAULT_SAMPLES),
         opts.get("seed", 0), workers=opts.get("threads", 1),
         model_ids=(_model_label(opts["model"], "model_1"),
                    _model_label(opts["model2"], "model_2")),
-        model_priors=(float(priors[0]), float(priors[1])))
+        model_priors=priors)
 
     text = (report_features_csv(report) if opts.get("format") == "csv"
             else _dump_json(report_to_json(report)))
@@ -372,10 +328,10 @@ def cmd_elicit(opts: dict) -> int:
 
 
 def cmd_simulate(opts: dict) -> int:
-    """The study is the config object itself, with --seed and --samples laid over."""
+    """The study is the config's study keys, with --seed and --samples laid over."""
     if "config" not in opts:
         raise InvalidSpec("simulate needs --config <study.json>")
-    study = study_mod.parse_study_config(opts)
+    study = study_mod.parse_study_config({key: opts.get(key) for key in study_mod._STUDY})
     results = study_mod.run_study(study, workers=opts.get("threads", 1))
     if opts.get("format") == "json":
         text = _dump_json(study_mod.study_results_json(study, results))
@@ -415,6 +371,17 @@ _OPTIONS = {
 #: Options given only as flags: a config key of the same name is ignored.
 _FLAG_ONLY = ("grid", "range")
 
+#: Each key a --config object may hold (a bool is never accepted): every
+#: command's, since one config file can serve several commands, the study's,
+#: and the flag-only ones.
+_CONFIG = {key: (_typed(types), None) for key, types in {
+    "model": (str, dict), "model2": (str, dict), "models": list, "data": str,
+    "features": (str, list), "ranges": list, "loss": (str, dict),
+    "samples": int, "n_samples": int, "seed": int, "threads": int,
+    "format": str, "out": str, "plot_data": str,
+    "candidates": list, "windows": list, "rows": list, "grid": list, "range": list,
+}.items()} | {"model_priors": (_list_of(_strict_float), None)}
+
 #: Each command's function, help line and options, in --help order.
 _COMMANDS = {
     "generate": (cmd_generate, "write prior-predictive edge lists",
@@ -448,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_options(args: argparse.Namespace) -> dict:
     """The command's options: the --config object without its nulls, with the
     explicit flags laid over it."""
-    opts = {key: value for key, value in _load_json(args.config).items()
-            if value is not None}
+    config = _read(_load_json(args.config), _CONFIG, "config") if args.config else {}
+    opts = {key: value for key, value in config.items() if value is not None}
     opts.update((key, value) for key, value in vars(args).items()
                 if value is not None or key in _FLAG_ONLY)
     if opts.get("threads", 1) < 1:

@@ -24,17 +24,6 @@ from .graph import (  # noqa: F401
     shortest_path_distances,
 )
 
-FEATURE_TOKENS = (
-    "degree_entropy",
-    "power_law_exponent",
-    "block_count",
-    "triangle_count",
-    "diameter",
-    "link_density",
-    "global_clustering",
-)
-DISCRETE_TOKENS = frozenset({"block_count", "triangle_count", "diameter"})
-
 DEFAULT_D_MIN = 1
 DEFAULT_K_MAX = 16
 
@@ -50,12 +39,71 @@ def _strict_int(value, name: str) -> int:
     return value
 
 
+def _strict_float(value, name: str) -> float:
+    """``value`` as a float when it is a JSON number (not a bool, not a string)
+    within float range; whether it must be finite is its object's check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidSpec(f"cannot parse {name} from {value!r}; expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidSpec(f"cannot parse {name}: the integer is beyond float range") from None
+
+
+def _typed(types):
+    """A checker that passes a value of ``types`` (a type or a tuple of them),
+    never a bool, as it is."""
+    def check(value, name: str):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise InvalidSpec(f"{name} has the wrong type: {value!r}")
+        return value
+    return check
+
+
+def _list_of(check):
+    """A checker of a JSON list whose items ``check`` reads, returned as a tuple."""
+    return lambda value, name: tuple(check(item, name) for item in _typed(list)(value, name))
+
+
+def _read(obj, fields: dict, what: str) -> dict:
+    """The values of the JSON object ``obj`` by the table ``fields``, in table order.
+
+    ``fields`` maps each key to ``(checker, default)``: ``checker(value,
+    name)`` returns the value as the object takes it or raises InvalidSpec,
+    and a default of ``...`` marks a required key. A ``null`` value counts as
+    absent. A key the table does not hold is an error that names the closest
+    key it does hold.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidSpec(f"{what} must hold a JSON object, not {obj!r}")
+    for key in obj:
+        if key not in fields:
+            import difflib  # only on this error: start-up does not pay for it
+
+            close = difflib.get_close_matches(key, fields, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"it takes {', '.join(fields)}"
+            raise InvalidSpec(f"{what} has no key {key!r}; {hint}")
+    out = {}
+    for key, (check, default) in fields.items():
+        value = obj.get(key)
+        if value is None and default is ...:
+            raise InvalidSpec(f"{what} needs {key!r}")
+        out[key] = default if value is None else check(value, f"{what} {key!r}")
+    return out
+
+
+def _object(cls, fields: dict):
+    """A checker that reads a JSON object by ``fields`` and builds ``cls`` from its values."""
+    return lambda value, name: cls(*_read(value, fields, name).values())
+
+
 @dataclass(frozen=True)
 class FeatureKind:
     """A feature selector: token name plus the parameters some kinds take.
 
-    ``d_min`` applies to power_law_exponent, ``k_max`` to block_count; both
-    are ignored by the other kinds.
+    ``d_min`` applies to power_law_exponent, ``k_max`` to block_count; the
+    other kinds hold the default of the parameter they ignore, so two kinds
+    that compute the same feature are equal and hash alike.
     """
 
     name: str
@@ -63,16 +111,20 @@ class FeatureKind:
     k_max: int = DEFAULT_K_MAX
 
     def __post_init__(self):
-        if self.name not in FEATURE_TOKENS:
-            raise InvalidSpec(f"unknown feature {self.name!r}; expected one of {FEATURE_TOKENS}")
+        if self.name not in _FEATURES:
+            raise InvalidSpec(f"unknown feature {self.name!r}; expected one of {tuple(_FEATURES)}")
         if self.d_min < 1:
             raise InvalidSpec(f"d_min must be >= 1, got {self.d_min}")
         if self.k_max < 1:
             raise InvalidSpec(f"k_max must be >= 1, got {self.k_max}")
+        if self.name != "power_law_exponent":
+            object.__setattr__(self, "d_min", DEFAULT_D_MIN)
+        if self.name != "block_count":
+            object.__setattr__(self, "k_max", DEFAULT_K_MAX)
 
     @property
     def is_discrete(self) -> bool:
-        return self.name in DISCRETE_TOKENS
+        return _FEATURES[self.name][1]
 
     def to_json(self):
         out = {"kind": self.name}
@@ -83,14 +135,14 @@ class FeatureKind:
         return out
 
     @classmethod
-    def from_json(cls, obj) -> "FeatureKind":
-        if isinstance(obj, str):
-            return cls(obj)
-        if isinstance(obj, dict) and "kind" in obj:
-            return cls(obj["kind"],
-                       d_min=_strict_int(obj.get("d_min", DEFAULT_D_MIN), "d_min"),
-                       k_max=_strict_int(obj.get("k_max", DEFAULT_K_MAX), "k_max"))
-        raise InvalidSpec(f"cannot parse feature kind from {obj!r}")
+    def from_json(cls, obj, name: str = "feature") -> "FeatureKind":
+        """A kind from its token or a {"kind", "d_min", "k_max"} object."""
+        return cls(obj) if isinstance(obj, str) else cls(*_read(obj, _KIND_FIELDS, name).values())
+
+
+#: The keys of a feature kind object, in FeatureKind's argument order.
+_KIND_FIELDS = {"kind": (_typed(str), ...), "d_min": (_strict_int, DEFAULT_D_MIN),
+                "k_max": (_strict_int, DEFAULT_K_MAX)}
 
 
 def degree_entropy(g: Graph) -> float:
@@ -100,7 +152,8 @@ def degree_entropy(g: Graph) -> float:
     """
     if g.node_count < 1:
         raise UndefinedFeature("degree entropy needs at least one node")
-    _, counts = np.unique(g.degrees, return_counts=True)
+    counts = np.bincount(g.degrees)
+    counts = counts[counts > 0]  # ascending degree, as np.unique counts them
     if len(counts) == 1:
         return 0.0
     p = counts / g.node_count
@@ -325,19 +378,17 @@ def extract_feature(g: Graph, kind: FeatureKind):
 
     Raises UndefinedFeature when the kind's precondition fails for ``g``.
     """
-    name = kind.name
-    if name == "degree_entropy":
-        return degree_entropy(g)
-    if name == "power_law_exponent":
-        return fit_power_law_mle(g, kind.d_min)
-    if name == "block_count":
-        return estimate_block_count(g, min(kind.k_max, max(1, g.node_count)))
-    if name == "triangle_count":
-        return count_triangles(g)
-    if name == "diameter":
-        return diameter(g)
-    if name == "link_density":
-        return link_density(g)
-    if name == "global_clustering":
-        return global_clustering(g)
-    raise InvalidSpec(f"unknown feature {name!r}")
+    return _FEATURES[kind.name][0](g, kind)
+
+
+#: Each feature token: (its extractor, called with the graph and the kind;
+#: whether its values are integers).
+_FEATURES = {
+    "degree_entropy": (lambda g, kind: degree_entropy(g), False),
+    "power_law_exponent": (lambda g, kind: fit_power_law_mle(g, kind.d_min), False),
+    "block_count": (lambda g, kind: estimate_block_count(g, kind.k_max), True),
+    "triangle_count": (lambda g, kind: count_triangles(g), True),
+    "diameter": (lambda g, kind: diameter(g), True),
+    "link_density": (lambda g, kind: link_density(g), False),
+    "global_clustering": (lambda g, kind: global_clustering(g), False),
+}

@@ -20,6 +20,7 @@ sample, scheduled over worker processes) are made in ``inference``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -27,7 +28,8 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInput, InvalidSpec
-from .features import _strict_int, count_triangles
+from .features import (_list_of, _object, _read, _strict_float, _strict_int, _typed,
+                       count_triangles)
 from .graph import Graph, _canonical_pairs
 
 _PAIR_CHUNK = 1 << 20  # max Bernoulli draws per RNG call when sampling pair sets
@@ -81,7 +83,11 @@ class GridPrior:
         total = float(sum(weights))
         if total <= 0:
             raise InvalidSpec("grid weights must have positive sum")
-        object.__setattr__(self, "weights", tuple(w / total for w in weights))
+        if not (self.weights and math.isclose(total, 1.0, rel_tol=1e-12)):
+            # given weights that already sum to 1 stay as they are, so a grid
+            # read back from its own JSON keeps its weights bit for bit
+            weights = tuple(w / total for w in weights)
+        object.__setattr__(self, "weights", tuple(float(w) for w in weights))
 
 
 ParamPrior = Union[PointPrior, UniformPrior, GridPrior]
@@ -183,14 +189,6 @@ ConcordanceTerm = Union[EdgeCountTerm, TriangleCountTerm, DegreeCountTerm, Indiv
 # Model specifications
 # --------------------------------------------------------------------------
 
-def _as_prior(value) -> ParamPrior:
-    if isinstance(value, (PointPrior, UniformPrior, GridPrior)):
-        return value
-    if isinstance(value, (int, float)):
-        return PointPrior(float(value))
-    raise InvalidSpec(f"cannot interpret {value!r} as a parameter prior")
-
-
 @dataclass(frozen=True)
 class DirichletMembership:
     """Block proportions drawn from a symmetric Dirichlet, then i.i.d. labels."""
@@ -212,7 +210,7 @@ class ErdosRenyi:
     p: ParamPrior
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _as_prior(self.p))
+        object.__setattr__(self, "p", parse_prior(self.p))
         _check_n(self.n)
         lo, hi = prior_support(self.p)
         if lo < 0 or hi > 1:
@@ -232,7 +230,7 @@ class Sbm:
 
     def __post_init__(self):
         _check_n(self.n)
-        if isinstance(self.k, (PointPrior, UniformPrior, GridPrior)):
+        if isinstance(self.k, ParamPrior):
             lo, hi = prior_support(self.k)
         else:
             object.__setattr__(self, "k", int(self.k))
@@ -275,7 +273,7 @@ class PowerLaw:
     d_min: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_prior(self.alpha))
+        object.__setattr__(self, "alpha", parse_prior(self.alpha))
         _check_n(self.n)
         lo, _ = prior_support(self.alpha)
         if lo <= 2:
@@ -344,119 +342,110 @@ def prior_to_json(prior: ParamPrior):
     return {"grid": {"values": list(prior.values), "weights": list(prior.weights)}}
 
 
-def parse_prior(obj) -> ParamPrior:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return PointPrior(float(obj))
-    if isinstance(obj, dict):
-        if "point" in obj:
-            return PointPrior(float(obj["point"]))
-        if "uniform" in obj:
-            lo, hi = obj["uniform"]
-            return UniformPrior(float(lo), float(hi))
-        if "grid" in obj:
-            grid = obj["grid"]
-            return GridPrior(tuple(float(v) for v in grid["values"]),
-                             tuple(float(w) for w in grid.get("weights", ())))
-    raise InvalidSpec(f"cannot parse parameter prior from {obj!r}")
+def _uniform(value, name: str) -> UniformPrior:
+    bounds = _list_of(_strict_float)(value, name)
+    if len(bounds) != 2:
+        raise InvalidSpec(f"{name} must be [lo, hi], got {value!r}")
+    return UniformPrior(*bounds)
 
 
-def _term_to_json(weight: float, term: ConcordanceTerm) -> dict:
-    out = {"weight": weight}
-    if isinstance(term, EdgeCountTerm):
-        out["f"] = "edge_count"
-    elif isinstance(term, TriangleCountTerm):
-        out["f"] = "triangle_count"
-    elif isinstance(term, DegreeCountTerm):
-        out["f"] = "degree_count"
-        out["d"] = term.degree
-    elif isinstance(term, IndividualEdgeTerm):
-        out["f"] = "individual_edge"
-        out["u"] = term.u
-        out["v"] = term.v
-    else:
-        raise InvalidSpec(f"unknown concordance term {term!r}")
-    return out
+#: Each key of a prior object and how its value reads; the object holds one.
+_PRIORS = {
+    "point": (lambda value, name: PointPrior(_strict_float(value, name)), None),
+    "uniform": (_uniform, None),
+    "grid": (_object(GridPrior, {"values": (_list_of(_strict_float), ...),
+                                 "weights": (_list_of(_strict_float), ())}), None),
+}
 
 
-def _parse_term(obj: dict) -> tuple[float, ConcordanceTerm]:
-    try:
-        weight = float(obj.get("weight", 1.0))
-        kind = obj["f"]
-    except (KeyError, TypeError, ValueError):
-        raise InvalidSpec(f"cannot parse concordance term from {obj!r}") from None
-    if kind == "edge_count":
-        return weight, EdgeCountTerm()
-    if kind == "triangle_count":
-        return weight, TriangleCountTerm()
-    if kind == "degree_count":
-        return weight, DegreeCountTerm(_strict_int(obj["d"], "d"))
-    if kind == "individual_edge":
-        return weight, IndividualEdgeTerm(_strict_int(obj["u"], "u"), _strict_int(obj["v"], "v"))
-    raise InvalidSpec(f"unknown concordance function id {kind!r}")
+def parse_prior(obj, name: str = "prior") -> ParamPrior:
+    """A prior from a bare number (a point mass) or a point, uniform or grid
+    object; a prior passes through as it is."""
+    if isinstance(obj, ParamPrior):
+        return obj
+    if not isinstance(obj, dict):
+        return PointPrior(_strict_float(obj, name))
+    priors = [prior for prior in _read(obj, _PRIORS, name).values() if prior is not None]
+    if len(priors) != 1:
+        raise InvalidSpec(f"{name} needs one of {', '.join(_PRIORS)}, got {obj!r}")
+    return priors[0]
+
+
+def _membership(value, name: str) -> Membership:
+    """A label list or a {"dirichlet": alpha} object."""
+    if isinstance(value, list):
+        return _list_of(_strict_int)(value, name)
+    return _object(DirichletMembership, {"dirichlet": (_strict_float, ...)})(value, name)
+
+
+def _read_tagged(obj, tag: str, tables: dict, what: str, lead: dict) -> list:
+    """The values of the ``lead`` keys of ``obj``, then the object that
+    ``tables[obj[tag]]``, a (class, fields) pair, builds from its other keys."""
+    kind = obj.get(tag) if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in tables:
+        raise InvalidSpec(f"{what} needs {tag!r}, one of {', '.join(tables)}; got {obj!r}")
+    cls, fields = tables[kind]
+    values = list(_read(obj, {**lead, tag: (_typed(str), ...), **fields},
+                        f"{kind} {what}").values())
+    return [*values[:len(lead)], cls(*values[len(lead) + 1:])]
+
+
+def _tagged_json(obj, tag: str, tables: dict) -> dict:
+    """``obj`` as JSON: its tag, then each non-null field in table order."""
+    kind, fields = next((kind, fields) for kind, (cls, fields) in tables.items()
+                        if type(obj) is cls)
+    values = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    return {tag: kind, **{key: _to_json(v) for key, v in zip(fields, values) if v is not None}}
+
+
+def _to_json(value):
+    """The JSON form of a spec field's value."""
+    if isinstance(value, ParamPrior):
+        return prior_to_json(value)
+    if isinstance(value, DirichletMembership):
+        return {"dirichlet": value.alpha}
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], ConcordanceTerm):
+        return {"weight": value[0], **_tagged_json(value[1], "f", _TERMS)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+#: Each concordance term's "f" id: (class, fields in its argument order).
+_TERMS = {
+    "edge_count": (EdgeCountTerm, {}),
+    "triangle_count": (TriangleCountTerm, {}),
+    "degree_count": (DegreeCountTerm, {"d": (_strict_int, ...)}),
+    "individual_edge": (IndividualEdgeTerm, {"u": (_strict_int, ...), "v": (_strict_int, ...)}),
+}
+
+#: Each model "type": (class, fields in its argument order).
+_SPECS = {
+    "er": (ErdosRenyi, {"n": (_strict_int, ...), "p": (parse_prior, ...)}),
+    "sbm": (Sbm, {
+        "n": (_strict_int, ...),
+        "k": (lambda value, name: parse_prior(value, name) if isinstance(value, dict)
+              else _strict_int(value, name), ...),
+        "p_in": (_strict_float, None), "p_out": (_strict_float, None),
+        "edge_probs": (_list_of(_list_of(_strict_float)), None),
+        "membership": (_membership, None)}),
+    "powerlaw": (PowerLaw, {
+        "n": (_strict_int, ...), "alpha": (parse_prior, ...), "d_min": (_strict_int, 1)}),
+    "loglinear": (LogLinear, {
+        "n": (_strict_int, ...), "lambda": (_strict_float, ...),
+        "terms": (_list_of(lambda value, name: _read_tagged(
+            value, "f", _TERMS, "term", {"weight": (_strict_float, 1.0)})), ...),
+        "burn_in": (_strict_int, None), "thin": (_strict_int, None)}),
+}
 
 
 def model_spec_to_json(spec: ModelSpec) -> dict:
-    if isinstance(spec, ErdosRenyi):
-        return {"type": "er", "n": spec.n, "p": prior_to_json(spec.p)}
-    if isinstance(spec, Sbm):
-        out = {"type": "sbm", "n": spec.n}
-        out["k"] = spec.k if isinstance(spec.k, int) else prior_to_json(spec.k)
-        if spec.edge_probs is not None:
-            out["edge_probs"] = [list(row) for row in spec.edge_probs]
-        else:
-            out["p_in"] = spec.p_in
-            out["p_out"] = spec.p_out
-        if isinstance(spec.membership, tuple):
-            out["membership"] = list(spec.membership)
-        elif isinstance(spec.membership, DirichletMembership):
-            out["membership"] = {"dirichlet": spec.membership.alpha}
-        return out
-    if isinstance(spec, PowerLaw):
-        return {"type": "powerlaw", "n": spec.n,
-                "alpha": prior_to_json(spec.alpha), "d_min": spec.d_min}
-    if isinstance(spec, LogLinear):
-        out = {"type": "loglinear", "n": spec.n, "lambda": spec.strength,
-               "terms": [_term_to_json(w, t) for w, t in spec.terms]}
-        if spec.burn_in is not None:
-            out["burn_in"] = spec.burn_in
-        if spec.thin is not None:
-            out["thin"] = spec.thin
-        return out
-    raise InvalidSpec(f"unknown model spec {spec!r}")
+    return _tagged_json(spec, "type", _SPECS)
 
 
-def parse_model_spec(obj: dict) -> ModelSpec:
-    if not isinstance(obj, dict) or "type" not in obj or "n" not in obj:
-        raise InvalidSpec("model spec must be an object with 'type' and 'n'")
-    kind = obj["type"]
-    n = _strict_int(obj["n"], "n")
-    if kind == "er":
-        return ErdosRenyi(n, parse_prior(obj["p"]))
-    if kind == "sbm":
-        k = obj.get("k", obj.get("K"))
-        if k is None:
-            raise InvalidSpec("sbm spec needs a block count 'k'")
-        k = parse_prior(k) if isinstance(k, dict) else _strict_int(k, "k")
-        membership = obj.get("membership")
-        if isinstance(membership, dict) and "dirichlet" in membership:
-            membership = DirichletMembership(float(membership["dirichlet"]))
-        elif isinstance(membership, list):
-            membership = tuple(_strict_int(b, "membership label") for b in membership)
-        elif membership is not None:
-            raise InvalidSpec(f"cannot parse membership {membership!r}")
-        edge_probs = obj.get("edge_probs")
-        if edge_probs is not None:
-            edge_probs = tuple(tuple(float(x) for x in row) for row in edge_probs)
-        p_in = obj.get("p_in")
-        p_out = obj.get("p_out")
-        return Sbm(n, k, p_in=p_in, p_out=p_out, edge_probs=edge_probs, membership=membership)
-    if kind == "powerlaw":
-        return PowerLaw(n, parse_prior(obj["alpha"]), _strict_int(obj.get("d_min", 1), "d_min"))
-    if kind == "loglinear":
-        terms = tuple(_parse_term(t) for t in obj.get("terms", []))
-        return LogLinear(n, float(obj["lambda"]), terms,
-                         burn_in=obj.get("burn_in"), thin=obj.get("thin"))
-    raise InvalidSpec(f"unknown model type {kind!r}")
+def parse_model_spec(obj) -> ModelSpec:
+    """A spec from its JSON object, whose "type" names the table of its other keys."""
+    return _read_tagged(obj, "type", _SPECS, "spec", {})[0]
 
 
 # --------------------------------------------------------------------------

@@ -218,21 +218,16 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [c.tolist() for c in np.split(order, cuts)] if n else []
 
 
-def read_edge_list(text: str) -> Graph:
-    """Parse the tab-separated edge-list format.
-
-    One edge per line as ``u<TAB>v`` with 0-based integer ids; lines starting
-    with '#' are comments; a ``# n=<N>`` header is required so graphs with
-    isolated nodes are representable.
-    """
+def _edge_lines(text: str) -> tuple[Optional[int], list[tuple[int, str, str]]]:
+    """The node count of an edge-list text's first ``# n=<N>`` header (None
+    without one) and the (line number, u, v) label tokens of its edge lines;
+    blank lines and other '#' comments are skipped. A line that is not two
+    labels, or whose two labels are equal, is a ParseError."""
     node_count: Optional[int] = None
-    edges: list[tuple[int, int]] = []
-    pending: list[tuple[int, int, int]] = []  # (u, v, line_number)
+    lines = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
+        if not line or line.startswith("#"):
             m = _HEADER_RE.match(line)
             if m and node_count is None:
                 node_count = int(m.group(1))
@@ -240,19 +235,29 @@ def read_edge_list(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'u<TAB>v', got {line!r}", ln)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {line!r}", ln) from None
-        if u == v:
-            raise ParseError(f"self-loop ({u}, {v})", ln)
-        if u < 0 or v < 0:
-            raise ParseError(f"negative node id in {line!r}", ln)
-        pending.append((u, v, ln))
+        if parts[0] == parts[1]:
+            raise ParseError(f"self-loop ({parts[0]}, {parts[1]})", ln)
+        lines.append((ln, *parts))
+    return node_count, lines
+
+
+def read_edge_list(text: str) -> Graph:
+    """Parse the tab-separated edge-list format.
+
+    One edge per line as ``u<TAB>v`` with 0-based integer ids; lines starting
+    with '#' are comments; a ``# n=<N>`` header is required so graphs with
+    isolated nodes are representable.
+    """
+    node_count, lines = _edge_lines(text)
     if node_count is None:
         raise ParseError("missing '# n=<N>' header")
-    for u, v, ln in pending:
-        if u >= node_count or v >= node_count:
+    edges = []
+    for ln, a, b in lines:
+        try:
+            u, v = int(a), int(b)
+        except ValueError:
+            raise ParseError(f"non-integer node id in {a!r} {b!r}", ln) from None
+        if not (0 <= u < node_count and 0 <= v < node_count):
             raise ParseError(f"node id out of range [0, {node_count})", ln)
         edges.append((u, v))
     return build_graph(node_count, edges)

@@ -29,7 +29,8 @@ from .errors import (
     UndefinedFeature,
     UndefinedPosterior,
 )
-from .features import BLOCK_COUNT_METHOD, FeatureKind, _lapack, extract_feature
+from .features import (BLOCK_COUNT_METHOD, _KIND_FIELDS, FeatureKind, _lapack, _read,
+                       _strict_float, _typed, extract_feature)
 from .generators import (
     GRID_PARAMS,
     GridPrior,
@@ -217,16 +218,15 @@ class LossKind:
             raise InvalidSpec(f"tolerance must be non-negative, got {self.tolerance}")
 
     @classmethod
-    def from_json(cls, obj) -> "LossKind":
+    def from_json(cls, obj, name: str = "loss") -> "LossKind":
         """A loss from its kind token or a {"kind", "tolerance"} object."""
         if isinstance(obj, str):
             return cls(obj)
-        if isinstance(obj, dict):
-            try:
-                return cls(obj["kind"], float(obj.get("tolerance", 0.0)))
-            except (TypeError, OverflowError):
-                raise InvalidSpec(f"cannot parse loss from {obj!r}") from None
-        raise InvalidSpec(f"cannot parse loss from {obj!r}")
+        return cls(*_read(obj, {"kind": (_typed(str), ...),
+                                "tolerance": (_strict_float, 0.0)}, name).values())
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "tolerance": self.tolerance}
 
     def apply(self, simulated: np.ndarray, observed: float) -> np.ndarray:
         diff = np.asarray(simulated, dtype=float) - float(observed)
@@ -652,7 +652,7 @@ def report_to_json(report: ComparisonReport) -> dict:
         "model_2": report.model_2,
         "n_samples": report.n_samples,
         "master_seed": report.master_seed,
-        "loss": {"kind": report.loss.kind, "tolerance": report.loss.tolerance},
+        "loss": report.loss.to_json(),
         "features": [
             {**fc.kind.to_json(),
              **{key: _json_number(getattr(fc, attr)) for key, attr in _FEATURE_KEYS}}
@@ -669,17 +669,16 @@ def report_to_json(report: ComparisonReport) -> dict:
 
 def report_from_json(obj: dict) -> ComparisonReport:
     features = tuple(
-        FeatureComparison(kind=FeatureKind.from_json(fc),
+        FeatureComparison(kind=FeatureKind.from_json({key: fc.get(key) for key in _KIND_FIELDS}),
                           **{attr: _parse_number(fc[key]) for key, attr in _FEATURE_KEYS})
         for fc in obj["features"]
     )
-    loss = obj.get("loss", {"kind": "quadratic", "tolerance": 0.0})
     return ComparisonReport(
         model_1=obj["model_1"],
         model_2=obj["model_2"],
         n_samples=int(obj["n_samples"]),
         master_seed=int(obj["master_seed"]),
-        loss=LossKind(loss["kind"], loss.get("tolerance", 0.0)),
+        loss=LossKind.from_json(obj.get("loss", "quadratic")),
         features=features,
         combined_ratio=float(obj["combined_ratio"]),
         model_priors=tuple(float(p) for p in obj["model_priors"]),
@@ -715,7 +714,7 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidInput("need at least one feature")
-    if len({tuple(k.to_json().items()) for k in kinds}) < len(kinds):
+    if len(set(kinds)) < len(kinds):
         # the posterior odds multiply per-feature evidences: a repeat counts twice
         raise InvalidInput(f"each feature may be given once, got {[k.name for k in kinds]}")
     if not (min(model_priors) >= 0 and 0 < sum(model_priors) < math.inf):

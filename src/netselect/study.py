@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpec
-from .features import FeatureKind, extract_feature
+from .features import (FeatureKind, _list_of, _object, _read, _strict_float, _strict_int,
+                       _typed, extract_feature)
 from .generators import ModelSpec, model_spec_to_json, parse_model_spec, sample_graph
 # estimate_density and evidence stay importable here for perfbench/spans.py to wrap.
 from .inference import (  # noqa: F401
@@ -90,7 +91,7 @@ class StudyConfig:
             if row.data_id not in ids:
                 raise InvalidSpec(
                     f"row data id {row.data_id!r} matches no candidate {ids}")
-            if len({tuple(k.to_json().items()) for k in row.features}) < len(row.features):
+            if len(set(row.features)) < len(row.features):
                 raise InvalidSpec(f"each row feature may be given once, got "
                                   f"{[k.name for k in row.features]}")
         if self.n_samples < 1:
@@ -107,27 +108,35 @@ class StudyRowResult:
     posterior: ParamPosterior
 
 
+#: A candidate family, and a study row's data setup: {"id", "spec"}.
+_CANDIDATE = _object(Candidate, {"id": (_typed(str), ...),
+                                 "spec": (lambda value, name: parse_model_spec(value), ...)})
+
+
+def _study_row(obj, name: str) -> StudyRow:
+    data, features, losses = _read(obj, {
+        "data": (_CANDIDATE, ...),
+        "features": (_list_of(FeatureKind.from_json), ...),
+        "losses": (_list_of(LossKind.from_json), (LossKind("quadratic"),)),
+    }, name).values()
+    return StudyRow(data.id, data.spec, features, losses)
+
+
+#: The keys of a study config, in StudyConfig's argument order ("seed" is
+#: the master seed).
+_STUDY = {
+    "candidates": (_list_of(_CANDIDATE), ...),
+    "windows": (_list_of(_object(Window, {"param": (_typed(str), ...),
+                                          "lo": (_strict_float, ...),
+                                          "hi": (_strict_float, ...)})), ()),
+    "rows": (_list_of(_study_row), ...),
+    "n_samples": (_strict_int, DEFAULT_STUDY_SAMPLES),
+    "seed": (_strict_int, 0),
+}
+
+
 def parse_study_config(obj: dict) -> StudyConfig:
-    try:
-        candidates = tuple(Candidate(c["id"], parse_model_spec(c["spec"]))
-                           for c in obj["candidates"])
-        windows = tuple(Window(w["param"], float(w["lo"]), float(w["hi"]))
-                        for w in obj.get("windows", []))
-        rows = tuple(
-            StudyRow(
-                data_id=r["data"]["id"],
-                data_spec=parse_model_spec(r["data"]["spec"]),
-                features=tuple(FeatureKind.from_json(f) for f in r["features"]),
-                losses=tuple(LossKind.from_json(l) for l in r.get("losses", ["quadratic"])),
-            )
-            for r in obj["rows"]
-        )
-        n_samples = int(obj.get("n_samples", DEFAULT_STUDY_SAMPLES))
-        master_seed = int(obj.get("seed", 0))
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpec(f"malformed study config: {exc!r}") from None
-    return StudyConfig(candidates=candidates, windows=windows, rows=rows,
-                       n_samples=n_samples, master_seed=master_seed)
+    return StudyConfig(*_read(obj, _STUDY, "study config").values())
 
 
 def study_config_to_json(config: StudyConfig) -> dict:
@@ -141,7 +150,7 @@ def study_config_to_json(config: StudyConfig) -> dict:
             {
                 "data": {"id": r.data_id, "spec": model_spec_to_json(r.data_spec)},
                 "features": [k.to_json() for k in r.features],
-                "losses": [{"kind": l.kind, "tolerance": l.tolerance} for l in r.losses],
+                "losses": [l.to_json() for l in r.losses],
             }
             for r in config.rows
         ],

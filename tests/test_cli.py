@@ -109,6 +109,14 @@ SBM = {"type": "sbm", "n": 10, "k": 2, "p_in": 0.5, "p_out": 0.1}
     dict(SBM, membership=[0, 1] * 4 + [0.5, 1]),
     dict(LOGLINEAR, terms=[{"weight": 1.0, "f": "degree_count", "d": 1.5}]),
     dict(LOGLINEAR, terms=[{"weight": 1.0, "f": "individual_edge", "u": 0.9, "v": 3}]),
+    {"type": "powerlaw", "n": 6, "alpha": 3, "d_mn": 3},
+    {"type": "er", "n": 10, "p": {"point": "0.5"}},
+    {"type": "er", "n": 10, "p": {"point": True}},
+    dict(SBM, p_in=True),
+    {"type": "sbm", "n": 10, "K": 2, "p_in": 0.5, "p_out": 0.1},
+    {"type": "er", "n": 10},
+    {"type": "er", "n": 10, "p": {"uniform": [0.1, 10 ** 400]}},
+    dict(LOGLINEAR, terms=[{"weight": "1", "f": "edge_count"}]),
 ], ids=["powerlaw_infinite_alpha", "sbm_infinite_k", "powerlaw_infinite_grid_value",
         "infinite_grid_weight", "thin_string", "thin_float",
         "thin_bool", "negative_burn_in", "nan_lambda", "nan_weight",
@@ -117,7 +125,9 @@ SBM = {"type": "sbm", "n": 10, "k": 2, "p_in": 0.5, "p_out": 0.1}
         "dirichlet_nan", "dirichlet_infinite", "membership_above_least_grid_k",
         "individual_edge_outside_n", "individual_edge_negative_u",
         "n_bool", "n_float", "n_string", "powerlaw_float_d_min", "sbm_float_k",
-        "membership_float_label", "degree_count_float_d", "individual_edge_float_u"])
+        "membership_float_label", "degree_count_float_d", "individual_edge_float_u",
+        "misspelled_d_min", "point_string", "point_bool", "p_in_bool", "sbm_K_alias",
+        "er_without_p", "uniform_bound_beyond_float_range", "term_weight_string"])
 def test_generate_rejects_bad_spec_numbers(tmp_path, capsys, spec):
     """Numbers of the right JSON type but unusable value fail when the spec is
     parsed (exit 2), not with a traceback or a silently meaningless draw."""
@@ -692,6 +702,12 @@ def test_grid_and_range_are_flags_only(tmp_path, capsys):
     ({"loss": {"kind": "zero_one", "tolerance": []}}, "cannot parse loss"),
     ({"loss": {"kind": "zero_one", "tolerance": 10 ** 400}}, "cannot parse loss"),
     ({"model_priors": [10 ** 400, 1]}, "model_priors"),  # beyond float range
+    ({"samples": 5, "sed": 9}, "did you mean 'seed'?"),
+    ({"windws": []}, "did you mean 'windows'?"),
+    ({"loss": {"kind": "zero_one", "tolerence": 0.5}}, "did you mean 'tolerance'?"),
+    ({"loss": {"kind": "zero_one", "tolerance": True}}, "cannot parse loss"),
+    ({"loss": {"kind": "zero_one", "tolerance": "0.5"}}, "cannot parse loss"),
+    ({"model_priors": [0.5, True]}, "model_priors"),
 ])
 def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):
     data = make_data_graph(tmp_path, {"type": "er", "n": 10, "p": 0.5})
@@ -702,6 +718,56 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):
                     "--seed", 0]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command, obj, fragments", [
+    ("generate", {"type": "powerlaw", "n": 6, "alpha": 3, "d_mn": 3},
+     ["powerlaw spec has no key 'd_mn'", "did you mean 'd_min'?"]),
+    ("simulate", {"windws": []}, ["has no key 'windws'", "did you mean 'windows'?"]),
+    ("features", {"samples": 5, "sed": 9}, ["config has no key 'sed'", "did you mean 'seed'?"]),
+    ("generate", {"type": "er", "n": 6, "p": {"point": "0.5"}}, ["'p' 'point'", "'0.5'"]),
+    ("generate", {"type": "er", "n": 6, "p": {"point": True}}, ["'p' 'point'", "True"]),
+    ("generate", dict(SBM, p_in=True), ["sbm spec 'p_in'", "True"]),
+    ("compare", {"loss": {"kind": "zero_one", "tolerence": 0.5}},
+     ["loss has no key 'tolerence'", "did you mean 'tolerance'?"]),
+    ("generate", {"type": "er", "n": 6}, ["er spec needs 'p'"]),
+], ids=["spec_d_mn", "study_windws", "config_sed", "point_string", "point_bool", "p_in_bool",
+        "loss_tolerence", "er_without_p"])
+def test_a_rejected_json_key_is_named_and_a_misspelling_gets_a_hint(tmp_path, capsys, command,
+                                                                    obj, fragments):
+    data = tmp_path / "g.tsv"
+    data.write_text("# n=3\n0\t1\n")
+    m = write_json(tmp_path / "m.json", {"type": "er", "n": 3, "p": 0.5})
+    if command == "generate":
+        argv = ["generate", "--model", write_json(tmp_path / "spec.json", obj),
+                "--out", tmp_path / "x"]
+    elif command == "simulate":
+        study = json.loads(Path(study_config(tmp_path, n=30, samples=5)).read_text())
+        argv = ["simulate", "--config", write_json(tmp_path / "s.json", {**study, **obj})]
+    else:
+        argv = [command, "--config", write_json(tmp_path / "cfg.json", obj), "--data", data,
+                "--features", "link_density"]
+        if command == "compare":
+            argv += ["--model", m, "--model2", m, "--samples", 5]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(f in err for f in fragments), err
+
+
+def test_readme_model_spec_key_table_matches_the_reader():
+    """The README's per-family table lists each family's keys in the reader's
+    table order, split into required keys and optional ones."""
+    from netselect.generators import _SPECS
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Model spec JSON", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|$", section, re.MULTILINE)
+    documented = {family: (re.findall(r"`(\w+)`", required), re.findall(r"`(\w+)`", optional))
+                  for family, required, optional in rows}
+    assert documented == {
+        family: ([key for key, (_, default) in fields.items() if default is ...],
+                 [key for key, (_, default) in fields.items() if default is not ...])
+        for family, (_, fields) in _SPECS.items()}
 
 
 @pytest.mark.parametrize("argv", [

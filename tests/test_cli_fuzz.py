@@ -4,7 +4,9 @@
 Inputs are tiny (n <= 30, at most 5 samples), so a few hundred commands run
 in seconds. Each key is drawn from valid values and from values of the wrong
 type or range, and goes to the command as a flag (only if the command has
-that flag), as a config key, or not at all. Now and then the command also
+that flag), as a config key, or not at all. Invalid values include
+misspelled keys (in a spec, a study config, a loss or the config itself)
+and bools or numeric strings in float fields. Now and then the command also
 gets one flag it does not have, which must exit 2. Strings starting with "@"
 name fixture files and are resolved to paths when the command runs.
 """
@@ -30,6 +32,10 @@ SPECS = {
     "list_n": {"type": "er", "n": [3], "p": 0.3},
     "inverted_prior": {"type": "er", "n": 10, "p": {"uniform": [0.5, 0.1]}},
     "list": [1, 2],
+    "misspelled": {"type": "powerlaw", "n": 6, "alpha": 3, "d_mn": 3},
+    "point_string": {"type": "er", "n": 12, "p": {"point": "0.5"}},
+    "point_bool": {"type": "er", "n": 12, "p": {"point": True}},
+    "p_in_bool": {"type": "sbm", "n": 20, "k": 2, "p_in": True, "p_out": 0.1},
 }
 GRAPHS = {
     "er": "# n=15\n" + "".join(f"{i}\t{j}\n" for i, j in itertools.combinations(range(15), 2)
@@ -55,7 +61,11 @@ STUDY = {
 STUDY_EDITS = [("n_samples", [2]), ("n_samples", 0), ("n_samples", True), ("n_samples", 2.5),
                ("seed", "x"), ("threads", 2), ("threads", "2"),
                ("windows", [{"param": "k"}]), ("rows", 5),
-               ("candidates", STUDY["candidates"][:1])]
+               ("candidates", STUDY["candidates"][:1]), ("windws", STUDY["windows"]),
+               ("windows", [{"param": "alpha", "lo": "2.4", "hi": 2.6}]),
+               ("windows", [{"param": "alpha", "lo": True, "hi": 2.6}])]
+# Misspelled config keys, each with a value its intended key would take.
+MISSPELLED = [("sed", 9), ("sampels", 3), ("featurs", "link_density"), ("thread", 1)]
 # The flags of each command besides --config and --out, which all of them take.
 FLAGS = {
     "generate": {"model", "grid", "samples", "seed", "threads"},
@@ -80,7 +90,8 @@ def choice(*values):
 
 good_spec = files("er.json", "sbm.json", "powerlaw.json", "loglinear.json")
 bad_spec = files("no_n.json", "list_n.json", "inverted_prior.json", "list.json",
-                 "missing.json")
+                 "missing.json", "misspelled.json", "point_string.json", "point_bool.json",
+                 "p_in_bool.json")
 good_features = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3,
                          unique=True).map(",".join)
 good_ranges = st.lists(choice("link_density:0:0.5", "triangle_count:0:5",
@@ -96,7 +107,8 @@ HUGE = 10 ** 400
 # flag values are strings; a config value of None counts as absent.
 KEYS = {
     "model": (good_spec, st.one_of(good_spec, choice(SPECS["er"], SPECS["sbm"])),
-              bad_spec, choice(5, [], SPECS["no_n"], SPECS["list_n"])),
+              bad_spec, choice(5, [], SPECS["no_n"], SPECS["list_n"], SPECS["misspelled"],
+                               SPECS["p_in_bool"])),
     "model2": (good_spec, st.one_of(good_spec, choice(SPECS["er"], SPECS["sbm"])),
                bad_spec, choice(5, [], SPECS["no_n"])),
     "data": (files("er.tsv", "labels.tsv", "edgeless.tsv"), files("er.tsv"),
@@ -115,17 +127,23 @@ KEYS = {
              choice("absolute", {"kind": "zero_one", "tolerance": 0.1}),
              choice("bogus"),
              choice(5, {"tolerance": 1}, {"kind": "quadratic", "tolerance": []},
-                    {"kind": "zero_one", "tolerance": HUGE})),
+                    {"kind": "zero_one", "tolerance": HUGE},
+                    {"kind": "zero_one", "tolerence": 0.1},
+                    {"kind": "zero_one", "tolerance": True},
+                    {"kind": "zero_one", "tolerance": "0.1"})),
     "format": (choice("json", "csv"), choice("json", "csv"), choice("xml"), choice(5)),
 }
 CONFIG_ONLY = {  # key -> (valid value, invalid value)
     "model_priors": (choice([0.5, 0.5], [1, 0], [0.2, 0.8]),
                      choice([0.2, 0.8, 1], [1], 0.5, ["a", 1], [-1, 2], {"a": 1},
-                            [HUGE, 1], [0.5, -HUGE])),
+                            [HUGE, 1], [0.5, -HUGE], [True, 1], ["0.5", 0.5])),
     "models": (st.one_of(st.lists(good_spec, max_size=2), st.none()),
                choice(5, ["@missing.json"], [3])),
     "ranges": (good_ranges, choice([{"feature": "global_clustering", "lo": 0, "hi": 1}],
-                                   [{"kind": "diameter"}], [5], "link_density:0:1")),
+                                   [{"kind": "diameter"}], [5], "link_density:0:1",
+                                   [{"feature": "diameter", "lo": "0", "hi": 1}],
+                                   [{"feature": "diameter", "lo": False, "hi": 1}],
+                                   [{"featur": "diameter", "lo": 0, "hi": 1}])),
 }
 
 
@@ -153,6 +171,8 @@ def invocations(draw):
     for key, (value, bad_value) in CONFIG_ONLY.items():
         if draw(st.booleans()):
             config[key] = draw(bad_value if invalid() else value)
+    if invalid():
+        config.update([draw(st.sampled_from(MISSPELLED))])
     if "grid" in FLAGS[command] and draw(st.booleans()):
         grids = choice("p:0.1,0.2", "alpha:2.5,3", "k:2,3")
         argv += ["--grid", draw(choice("p:x", "bogus", "n:3") if invalid() else grids)]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -83,9 +84,29 @@ def test_feature_kind_json_round_trip():
         assert FeatureKind.from_json(kind.to_json()) == kind
 
 
+def test_a_kind_holds_the_default_of_the_parameter_it_ignores():
+    same = [FeatureKind("triangle_count"), FeatureKind("triangle_count", d_min=4, k_max=3)]
+    assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+    assert same[0].to_json() == same[1].to_json() == {"kind": "triangle_count"}
+    assert FeatureKind("block_count", d_min=4, k_max=3) == FeatureKind("block_count", k_max=3)
+    assert FeatureKind("power_law_exponent", 2, 3) != FeatureKind("power_law_exponent", 3, 3)
+
+
 # --------------------------------------------------------------------------
 # Degree entropy
 # --------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=120))
+def test_degree_entropy_equals_the_unique_count_formula_bit_for_bit(degrees):
+    # The counts of np.bincount with zeros dropped come in the ascending order
+    # of np.unique's, so the float is the same to the last bit.
+    g = SimpleNamespace(node_count=len(degrees), degrees=np.asarray(degrees, dtype=np.int64))
+    _, counts = np.unique(g.degrees, return_counts=True)
+    p = counts / g.node_count
+    expected = 0.0 if len(counts) == 1 else float(-np.sum(p * np.log(p)))
+    assert degree_entropy(g).hex() == expected.hex()
+
 
 def test_entropy_of_regular_graphs_is_exactly_zero():
     for g in (k_complete(4), cycle_graph(5), build_graph(3, [])):

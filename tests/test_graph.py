@@ -218,6 +218,17 @@ def test_read_rejects_garbage():
         read_edge_list("# n=2\n0\t1\t2\n")
 
 
+def test_read_reports_a_malformed_line_before_a_bad_node_id():
+    # Every line is split and checked for two distinct labels before any
+    # label is read as a node id.
+    with pytest.raises(ParseError, match="line 3: expected"):
+        read_edge_list("# n=2\n0\tx\n0\t1\t2\n")
+    with pytest.raises(ParseError, match="line 3: self-loop"):
+        read_edge_list("# n=2\n0\t5\n1\t1\n")
+    with pytest.raises(ParseError, match="line 2: non-integer"):
+        read_edge_list("# n=2\n0\tx\n0\t5\n")
+
+
 def test_read_preserves_isolated_nodes():
     g = read_edge_list("# n=5\n0\t1\n")
     assert g.node_count == 5

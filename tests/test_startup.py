@@ -1,7 +1,8 @@
 """scipy loads only for block_count, on one BLAS thread unless the user set a
 count, and before a pool forks its workers; a worker forked before scipy
 loaded runs it on one thread too, and no worker outlives its interpreter.
-multiprocessing and concurrent.futures load only at the first pooled run.
+multiprocessing and concurrent.futures load only at the first pooled run,
+and difflib only when a JSON object holds a key its reader does not know.
 Each check runs in a fresh interpreter, since the test process itself may
 have imported scipy already.
 """
@@ -70,6 +71,21 @@ print(json.dumps({"import": at_import, "serial": after_serial, "pooled": loaded(
 """)
     assert out == {"import": [], "serial": [],
                    "pooled": ["multiprocessing", "concurrent.futures"]}
+
+
+def test_difflib_loads_only_to_name_an_unknown_key():
+    out = _run("""
+from netselect import InvalidSpec, parse_model_spec
+parse_model_spec({"type": "er", "n": 5, "p": {"point": 0.5}})
+valid = "difflib" in sys.modules
+try:
+    parse_model_spec({"type": "er", "n": 5, "pp": 0.5})
+except InvalidSpec as exc:
+    message = str(exc)
+print(json.dumps({"valid": valid, "unknown": "difflib" in sys.modules, "message": message}))
+""")
+    assert out == {"valid": False, "unknown": True,
+                   "message": "er spec has no key 'pp'; did you mean 'p'?"}
 
 
 BLOCK_COUNT = """
