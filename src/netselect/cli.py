@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -399,7 +400,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept: each
+    ``parse_args`` returns a new namespace, so no call sees another's values."""
     parser = argparse.ArgumentParser(
         prog="netselect",
         description="Compare random-network models on observed graph features.")

@@ -258,7 +258,8 @@ def estimate_block_count(g: Graph, k_max: int) -> int:
     return max(1, min(neg, k_max, g.node_count))
 
 
-#: Rows gathered per numpy call in count_triangles and _eccentricities, which
+#: Rows gathered per numpy call in count_triangles (twice) and, or one closed
+#: row if that is longer, per neighbour-table block of _eccentricities, which
 #: bounds their temporaries to about 16 * _EDGE_CHUNK * ceil(n / 64) bytes on
 #: dense graphs; _packed_closed packs _EDGE_CHUNK // 8 rows per boolean mask.
 _EDGE_CHUNK = 1 << 14
@@ -304,34 +305,67 @@ def count_triangles(g: Graph) -> int:
     return g._triangles
 
 
-def _eccentricities(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(ecc, reach): hop eccentricities and the converged reach bitsets.
+def _neighbour_tables(g: Graph) -> tuple[np.ndarray, list]:
+    """(order, blocks): the search's node order and, per block of consecutive
+    positions lo..hi - 1 in it, the padded neighbour table ``(lo, hi, table)``
+    (the SELL-C-sigma layout of Kreutzer et al., SIAM J. Sci. Comput. 2014).
 
-    Breadth-first search from all sources at once: row v of ``reach`` is the
-    bitset of nodes within ``level`` hops of v, and each level ORs together
-    the rows of v's closed neighbourhood {v} | N(v); level 1, where the rows
-    of non-isolated nodes grew, also counts the triangles if none are kept.
-    Hop distances within a component are contiguous, so a row that stops
-    growing already holds v's whole component, and v's eccentricity within it
-    is the last level at which its row grew. The search ends when no row
-    grows, so row v of the returned ``reach`` is v's connected component.
+    ``table[j, i]`` is the position of the j-th member of {v} | N(v), v the
+    node at position lo + i, and of its last member for j past the row's end,
+    up to the block's widest row (ORing a row twice changes nothing). When
+    n times the widest row fits _EDGE_CHUNK entries there is one block in
+    node order; otherwise the order is by ascending row size and each block
+    takes as many rows as fit max(_EDGE_CHUNK, one row) entries, so a hub
+    pads no other row and a block's gather stays bounded.
     """
     n = g.node_count
     ptr, closed = g._closed_neighbourhoods()
-    # node blocks of about _EDGE_CHUNK closed-neighbourhood entries each
-    cuts = sorted({0, n, *np.searchsorted(ptr, range(_EDGE_CHUNK, ptr[-1], _EDGE_CHUNK)).tolist()})
-    blocks = [(lo, hi, closed[ptr[lo]:ptr[hi]], ptr[lo:hi] - ptr[lo])
-              for lo, hi in zip(cuts, cuts[1:])]
+    starts, sizes = ptr[:-1], np.diff(ptr)
+    if n * int(sizes.max()) <= _EDGE_CHUNK:
+        order, cuts = np.arange(n), [0, n]
+    else:
+        order = np.argsort(sizes, kind="stable")
+        starts, sizes = starts[order], sizes[order]
+        closed = np.argsort(order)[closed]  # members as positions in the order
+        cuts = [0]
+        while cuts[-1] < n:  # rows lo..hi - 1 fit when (hi - lo) * sizes[hi - 1] does
+            rows = sizes[cuts[-1]:cuts[-1] + _EDGE_CHUNK]
+            fit = np.searchsorted(np.arange(1, len(rows) + 1) * rows, _EDGE_CHUNK, "right")
+            cuts.append(cuts[-1] + max(1, int(fit)))
+    blocks = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        last = sizes[lo:hi] - 1
+        index = np.minimum(np.arange(last.max() + 1)[:, None], last)
+        index += starts[lo:hi]
+        blocks.append((lo, hi, closed[index]))
+    return order, blocks
+
+
+def _eccentricities(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(ecc, reach): hop eccentricities and the converged reach bitsets, both
+    with one row per node in the order of ``_neighbour_tables``.
+
+    Breadth-first search from all sources at once (Then et al., PVLDB 2014):
+    the row of v in ``reach`` is the bitset of nodes within ``level`` hops of
+    v, and each level ORs together the rows of v's closed neighbourhood
+    {v} | N(v), one padded table per block; level 1, where the rows of
+    non-isolated nodes grew, also counts the triangles if none are kept. Hop
+    distances within a component are contiguous, so a row that stops growing
+    already holds v's whole component, and v's eccentricity within it is the
+    last level at which its row grew. The search ends when no row grows, so
+    v's row of the returned ``reach`` is v's connected component.
+    """
+    order, blocks = _neighbour_tables(g)
     reach = _packed_closed(g)
     if g._triangles is None:
         _remember_triangles(g, reach)
+    reach = reach[order]
     grown = np.empty_like(reach)
-    ecc = (g.degrees > 0).astype(np.int64)
+    ecc = (g.degrees[order] > 0).astype(np.int64)
     level = 1
     while True:
-        for lo, hi, members, offsets in blocks:
-            np.bitwise_or.reduceat(np.take(reach, members, axis=0), offsets,
-                                   axis=0, out=grown[lo:hi])
+        for lo, hi, table in blocks:
+            np.bitwise_or.reduce(reach.take(table, axis=0), axis=0, out=grown[lo:hi])
         grew = np.flatnonzero(grown != reach)  # words that grew, row-major
         if not len(grew):
             return ecc, reach

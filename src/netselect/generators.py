@@ -470,7 +470,8 @@ def _row_chunks(n: int, chunk_pairs: int) -> Iterator[list[int]]:
 _PAIR_INDEX_CACHE: dict = {}  # n -> (iu, ju)
 _PAIR_PROB_CACHE: dict = {}  # fixed-membership (spec, k) -> probs over all pairs
 _CACHE_BYTES = 9 * 8 * _PAIR_CHUNK  # per cache: nine probability vectors at the largest one-shot n
-_LAST_UNIFORMS = (None, 0, None, None)  # (state before, size, uniforms, state after)
+#: (state before, size, uniforms, state after, state one output in)
+_LAST_UNIFORMS = (None, 0, None, None, None)
 
 
 def _remember(cache: dict, key, value):
@@ -501,20 +502,31 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
-    """``rng.random(size)``. From a PCG64 generator the vector is read-only,
-    and a call from the last call's full bit generator state and size reuses
-    it and moves ``rng`` on as the draw would have: grid points drawn from
-    one seed share the vector."""
+    """``rng.random(size)``, read-only. A PCG64 generator keeps the last vector
+    it drew with the states before it, one output into it and after it. A
+    call of that size from the state before gets the vector; one from the
+    state one output in (a draw that spent one output on a parameter first)
+    gets its tail and one fresh draw. Both leave ``rng`` where the draw would
+    have, so grid points and models drawn from one seed share the vector."""
     global _LAST_UNIFORMS
     if not isinstance(rng.bit_generator, np.random.PCG64):  # other states hold arrays
         return rng.random(size)
     before = rng.bit_generator.state
-    if _LAST_UNIFORMS[1] == size and _LAST_UNIFORMS[0] == before:
-        rng.bit_generator.state = _LAST_UNIFORMS[3]
-        return _LAST_UNIFORMS[2]
-    u = rng.random(size)
+    start, memo_size, memo, after, one_in = _LAST_UNIFORMS
+    if memo_size == size and before in (start, one_in):
+        rng.bit_generator.state = after
+        if before == start:
+            return memo
+        u = np.empty(size)
+        u[:-1] = memo[1:]
+        rng.random(out=u[-1:])
+    else:
+        u = np.empty(size)
+        rng.random(out=u[:1])
+        one_in = rng.bit_generator.state
+        rng.random(out=u[1:])
+        _LAST_UNIFORMS = (before, size, u, rng.bit_generator.state, one_in)
     u.flags.writeable = False
-    _LAST_UNIFORMS = (before, size, u, rng.bit_generator.state)
     return u
 
 

@@ -30,7 +30,7 @@ from .errors import (
     UndefinedPosterior,
 )
 from .features import (BLOCK_COUNT_METHOD, _KIND_FIELDS, FeatureKind, _lapack, _read,
-                       _strict_float, _typed, extract_feature)
+                       _strict_float, _strict_int, _typed, extract_feature)
 from .generators import (
     GRID_PARAMS,
     GridPrior,
@@ -668,6 +668,9 @@ def report_to_json(report: ComparisonReport) -> dict:
 
 
 def report_from_json(obj: dict) -> ComparisonReport:
+    """The report ``report_to_json`` wrote. Its counts and ratios must be JSON
+    numbers of their type (InvalidSpec otherwise); keys it does not know are
+    ignored, since report keys are additive."""
     features = tuple(
         FeatureComparison(kind=FeatureKind.from_json({key: fc.get(key) for key in _KIND_FIELDS}),
                           **{attr: _parse_number(fc[key]) for key, attr in _FEATURE_KEYS})
@@ -676,12 +679,12 @@ def report_from_json(obj: dict) -> ComparisonReport:
     return ComparisonReport(
         model_1=obj["model_1"],
         model_2=obj["model_2"],
-        n_samples=int(obj["n_samples"]),
-        master_seed=int(obj["master_seed"]),
+        n_samples=_strict_int(obj["n_samples"], "report 'n_samples'"),
+        master_seed=_strict_int(obj["master_seed"], "report 'master_seed'"),
         loss=LossKind.from_json(obj.get("loss", "quadratic")),
         features=features,
-        combined_ratio=float(obj["combined_ratio"]),
-        model_priors=tuple(float(p) for p in obj["model_priors"]),
+        combined_ratio=_strict_float(obj["combined_ratio"], "report 'combined_ratio'"),
+        model_priors=tuple(_strict_float(p, "report 'model_priors'") for p in obj["model_priors"]),
         posterior_odds=_parse_number(obj["posterior_odds"]),
         decision=Decision(obj["decision"]),
         decision_rule=obj["decision_rule"],

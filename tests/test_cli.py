@@ -802,6 +802,17 @@ def test_readme_flag_table_matches_the_parser():
         assert keys >= {a.dest for a in actions} - {"config", "grid", "range"}, cmd
 
 
+def test_the_kept_parser_carries_no_values_between_calls():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["elicit", "--grid", "alpha:2.9,3.5",
+                                       "--range", "link_density:0:1", "--seed", "4"])
+    second = build_parser().parse_args(["elicit", "--range", "diameter:1:2"])
+    assert (first.grid, first.range, first.seed) == (["alpha:2.9,3.5"], ["link_density:0:1"], 4)
+    assert (second.grid, second.range, second.seed) == (None, ["diameter:1:2"], None)
+    bare = vars(build_parser().parse_args(["compare"]))
+    assert bare.pop("command") == "compare" and set(bare.values()) == {None}
+
+
 def test_missing_file_is_config_error():
     assert run_cli(["features", "--data", "/nonexistent/file.tsv",
                     "--features", "link_density"]) == 2

@@ -26,9 +26,10 @@ from netselect import (
     global_clustering,
     link_density,
     power_law_mle,
+    sample_graph,
     shortest_path_distances,
 )
-from netselect import features
+from netselect import PointPrior, PowerLaw, features
 from netselect.features import bethe_hessian
 
 
@@ -449,6 +450,91 @@ def test_diameter_memoizes_the_triangle_count_of_its_first_level(graph, chunk):
         assert g._triangles is None
         diameter(g)
         assert g._triangles == count_triangles(fresh) == brute_force_triangles(g)
+
+
+def star_with_tails(leaves, tails, order):
+    """A hub joined to ``leaves`` nodes, leaf i continued by a path of
+    ``tails[i]`` more nodes; node ``k`` of the construction gets id ``order[k]``."""
+    edges, nxt = [], leaves + 1
+    for leaf in range(1, leaves + 1):
+        edges.append((0, leaf))
+        prev = leaf
+        for _ in range(tails[leaf - 1]):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return nxt, [(int(order[u]), int(order[v])) for u, v in edges]
+
+
+@st.composite
+def hub_graphs(draw):
+    """(n, edges) with a few rows far wider than the rest: a star whose leaves
+    carry path tails, on shuffled ids, or a power-law degree sequence paired
+    by stubs (self-loops and repeated pairs erased)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        leaves = draw(st.integers(1, 25))
+        tails = draw(st.lists(st.integers(0, 3), min_size=leaves, max_size=leaves))
+        n = 1 + leaves + sum(tails)
+        return star_with_tails(leaves, tails, rng.permutation(n))
+    n = draw(st.integers(2, 100))
+    alpha = draw(st.sampled_from([2.1, 2.3, 3.0]))
+    g = sample_graph(PowerLaw(n, PointPrior(alpha)), rng)
+    return n, list(g.edges())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hub_graphs(), st.sampled_from([features._EDGE_CHUNK, 1, 8, 97]))
+def test_bitset_kernels_match_oracles_on_hub_graphs(graph, chunk):
+    """Hubs take the blocks by row size whenever n times the widest row
+    exceeds the chunk (all of 1, 8 and 97 here), and one block in node order
+    at the default chunk."""
+    n, edges = graph
+    g = build_graph(n, edges)
+    reversed_ids = build_graph(n, [(n - 1 - u, n - 1 - v) for u, v in edges])
+    with mock.patch.object(features, "_EDGE_CHUNK", chunk):
+        assert diameter(g) == diameter(reversed_ids) == bfs_diameter(g)
+        assert count_triangles(g) == count_triangles(reversed_ids) == brute_force_triangles(g)
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 97, 5000, None])
+def test_neighbour_table_blocks_are_bounded_and_hold_each_closed_row(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(features, "_EDGE_CHUNK", chunk)
+    graphs = [star_with_tails(60, [i % 4 for i in range(60)], np.arange(151)),
+              (300, list(sample_graph(PowerLaw(300, PointPrior(2.1)),
+                                      np.random.default_rng(3)).edges())),
+              (40, [(i, i + 1) for i in range(39)]),
+              (150, list(generate_er(150, 0.3, np.random.default_rng(4)).edges()))]
+    for n, edges in graphs:
+        g = build_graph(n, edges)
+        ptr, closed = g._closed_neighbourhoods()
+        sizes = np.diff(ptr)
+        order, blocks = features._neighbour_tables(g)
+        assert sorted(order.tolist()) == list(range(n))
+        if n * sizes.max() <= features._EDGE_CHUNK:
+            assert order.tolist() == list(range(n)) and len(blocks) == 1
+        assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+        assert blocks[-1][1] == n
+        for lo, hi, table in blocks:
+            widest = int(sizes[order[lo:hi]].max())
+            assert table.shape == (widest, hi - lo)
+            assert table.size <= max(features._EDGE_CHUNK, widest)
+            for i, v in enumerate(order[lo:hi]):
+                assert set(order[table[:, i]].tolist()) == set(closed[ptr[v]:ptr[v + 1]].tolist())
+
+
+@pytest.mark.parametrize("kernel", [count_triangles, diameter])
+def test_bitset_kernel_memory_on_a_star(kernel):
+    """A hub of degree 7999 gets a block of its own: the leaves' block stays
+    within _EDGE_CHUNK entries, under the same bound as the sparse graph."""
+    g = star_graph(8000)
+    tracemalloc.start()
+    try:
+        assert kernel(g) == (0 if kernel is count_triangles else 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize("kernel", [count_triangles, diameter])

@@ -1,8 +1,9 @@
 """Byte-identity of fixed-seed outputs against committed golden files.
 
 ``tests/golden/`` holds the SHA-256 of ``write_edge_list`` for fixed-seed
-draws of every model family (n = 5..300), a ``compare`` JSON report, the
-``compare --plot-data`` CSVs and a ``simulate`` CSV table. Each test
+draws of every model family (n = 5..300), ``compare`` JSON reports with the
+models in both orders, the ``compare --plot-data`` CSVs and a ``simulate``
+CSV table. Each test
 regenerates its output and compares bytes, so any change to RNG consumption,
 graph construction or feature values shows up here. To re-record after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -81,15 +82,17 @@ def _write_json(path: Path, obj) -> str:
     return str(path)
 
 
-def _compare_inputs(work: Path) -> list[str]:
-    """Data and model flags shared by the ``compare`` goldens."""
+def _compare_inputs(work: Path, er_first: bool = False) -> list[str]:
+    """Data and model flags shared by the ``compare`` goldens: the SBM model
+    first, or the ER model first when ``er_first``."""
     data = sample_graph(Sbm(80, 2, p_in=0.3, p_out=0.05), np.random.default_rng(5))
     (work / "data.tsv").write_text(write_edge_list(data), encoding="utf-8")
     sbm = _write_json(work / "sbm.json", {"type": "sbm", "n": 80, "k": 2,
                                           "p_in": 0.3, "p_out": 0.05})
     er = _write_json(work / "er.json", {"type": "er", "n": 80,
                                         "p": {"uniform": [0.1, 0.25]}})
-    return ["--data", str(work / "data.tsv"), "--model", sbm, "--model2", er]
+    first, second = (er, sbm) if er_first else (sbm, er)
+    return ["--data", str(work / "data.tsv"), "--model", first, "--model2", second]
 
 
 def compare_report(work: Path) -> bytes:
@@ -99,6 +102,21 @@ def compare_report(work: Path) -> bytes:
                  "degree_entropy,power_law_exponent,block_count,triangle_count,"
                  "diameter,link_density,global_clustering",
                  "--samples", "30", "--seed", "3", "--out", str(out)])
+    assert code == 0
+    return out.read_bytes()
+
+
+def er_first_compare_report(work: Path, threads: int) -> bytes:
+    """``compare_report`` with the two models swapped, so each seed's ER draw
+    comes before its SBM draw and neither can reuse the other's uniforms, and
+    without block_count (whose expected loss is zero in this order, which
+    exits 3)."""
+    out = work / f"compare_er_first_{threads}.json"
+    code = main(["compare", *_compare_inputs(work, er_first=True), "--features",
+                 "degree_entropy,power_law_exponent,triangle_count,diameter,"
+                 "link_density,global_clustering",
+                 "--samples", "30", "--seed", "3", "--threads", str(threads),
+                 "--out", str(out)])
     assert code == 0
     return out.read_bytes()
 
@@ -156,6 +174,12 @@ def test_compare_report_matches_golden(tmp_path):
     assert compare_report(tmp_path) == (GOLDEN / "compare.json").read_bytes()
 
 
+def test_er_first_compare_report_matches_golden_at_one_and_two_workers(tmp_path):
+    golden = (GOLDEN / "compare_er_first.json").read_bytes()
+    assert er_first_compare_report(tmp_path, 1) == golden
+    assert er_first_compare_report(tmp_path, 2) == golden
+
+
 def test_plot_data_matches_golden_at_one_and_two_workers(tmp_path):
     golden = {f.name: f.read_bytes() for f in sorted((GOLDEN / "plot_data").iterdir())}
     assert len(golden) == 12
@@ -177,6 +201,7 @@ if __name__ == "__main__":  # re-record the golden files
         json.dumps(edge_list_hashes(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "compare.json").write_bytes(compare_report(Path(tmp)))
+        (GOLDEN / "compare_er_first.json").write_bytes(er_first_compare_report(Path(tmp), 1))
         (GOLDEN / "plot_data").mkdir(exist_ok=True)
         for name, body in plot_data(Path(tmp), 1).items():
             (GOLDEN / "plot_data" / name).write_bytes(body)

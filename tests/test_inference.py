@@ -11,6 +11,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -651,6 +652,23 @@ def test_report_json_round_trip():
         assert report_from_json(obj) == original
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_samples", 2.7), ("master_seed", True), ("combined_ratio", "1.5"),
+    ("model_priors", [0.5, "0.5"]), ("n_samples", "30"),
+], ids=["float_count", "bool_seed", "string_ratio", "string_prior", "string_count"])
+def test_report_from_json_refuses_a_number_of_the_wrong_type(key, value):
+    report = compare_models(generate_er(10, 0.25, np.random.default_rng(8)),
+                            ErdosRenyi(10, PointPrior(0.2)), ErdosRenyi(10, PointPrior(0.6)),
+                            [FeatureKind("triangle_count")], LossKind("quadratic"),
+                            n_samples=30, master_seed=2)
+    obj = json.loads(json.dumps(report_to_json(report)))
+    obj["future_key"] = {"added": 1}  # report keys are additive: an unknown one is read past
+    assert report_from_json(obj) == report
+    obj[key] = value
+    with pytest.raises(InvalidSpec, match=key):
+        report_from_json(obj)
+
+
 def test_every_feature_comparison_field_has_a_report_key():
     # A field without a key would be dropped from JSON and CSV reports, and
     # report_from_json could not rebuild it.
@@ -774,6 +792,72 @@ def test_uniform_memo_never_serves_a_stale_vector(draws):
         hit = ref.random(len(iu)) < p
         assert g == build_graph(n, zip(iu[hit].tolist(), ju[hit].tolist()))
         assert rng.random() == ref.random()  # the generator moved on as a fresh draw would
+
+
+def _fresh_draw(spec, rng):
+    """``sample_graph`` without the uniform memo."""
+    with mock.patch.object(generators, "_uniforms", lambda rng, size: rng.random(size)):
+        return sample_graph(spec, rng)
+
+
+def _start(seed, buffered):
+    """A generator of ``seed``; after ``rng.integers(2**31)`` when ``buffered``,
+    so its state is one output in and holds a buffered 32-bit integer."""
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(2**31)
+    return rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(2, 9), st.booleans(), st.booleans()),
+                min_size=1, max_size=8))
+def test_uniform_memo_serves_a_shifted_vector_only_as_a_fresh_draw_would(draws):
+    # per draw, as a comparison makes them from one start state: a block
+    # model (no parameter draw) and an ER model that spends one output on p
+    # first, in either order; seeds repeat, sizes change, and some start
+    # states hold a buffered 32-bit integer
+    for seed, n, er_first, buffered in draws + draws[-1:]:
+        models = (Sbm(n, 2, p_in=0.5, p_out=0.2), ErdosRenyi(n, UniformPrior(0.3, 0.6)))
+        rng = _start(seed, buffered)
+        start = rng.bit_generator.state
+        for spec in models[::-1] if er_first else models:
+            rng.bit_generator.state = start
+            g = sample_graph(spec, rng)
+            ref = _start(seed, buffered)
+            assert g == _fresh_draw(spec, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_uniform_memo_refuses_a_state_one_output_in_that_holds_a_buffered_integer():
+    spec = ErdosRenyi(30, PointPrior(0.4))
+    sample_graph(spec, np.random.default_rng(5))  # the memo starts at seed 5's start
+    rng = _start(5, buffered=True)
+    one_in = generators._LAST_UNIFORMS[4]
+    # the memo's 128-bit state one output in, but not its buffered integer
+    assert rng.bit_generator.state["state"] == one_in["state"]
+    assert rng.bit_generator.state["has_uint32"] != one_in["has_uint32"]
+    g = sample_graph(spec, rng)
+    ref = _start(5, buffered=True)
+    assert g == _fresh_draw(spec, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_compare_er_draw_after_the_block_model_draw_equals_a_fresh_draw():
+    sbm = Sbm(200, 4, p_in=0.1, p_out=0.01)
+    er = ErdosRenyi(200, UniformPrior(0.02, 0.05))
+    rng = np.random.default_rng(derive_seed(11, 0))
+    start = rng.bit_generator.state
+    sample_graph(sbm, rng)
+    uniforms = generators._LAST_UNIFORMS[2]
+    rng.bit_generator.state = start
+    g = sample_graph(er, rng)
+    assert generators._LAST_UNIFORMS[2] is uniforms  # served from the block model's draw
+    ref = np.random.default_rng(derive_seed(11, 0))
+    assert g == _fresh_draw(er, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    _, ers = inference._draw_chunk((sbm, er), None, 11, 0, 4)
+    assert ers == [_fresh_draw(er, np.random.default_rng(derive_seed(11, i))) for i in range(4)]
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox,

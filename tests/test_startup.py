@@ -2,7 +2,8 @@
 count, and before a pool forks its workers; a worker forked before scipy
 loaded runs it on one thread too, and no worker outlives its interpreter.
 multiprocessing and concurrent.futures load only at the first pooled run,
-and difflib only when a JSON object holds a key its reader does not know.
+difflib only when a JSON object holds a key its reader does not know, and
+the command-line parser is built at the first ``main`` call, then kept.
 Each check runs in a fresh interpreter, since the test process itself may
 have imported scipy already.
 """
@@ -71,6 +72,17 @@ print(json.dumps({"import": at_import, "serial": after_serial, "pooled": loaded(
 """)
     assert out == {"import": [], "serial": [],
                    "pooled": ["multiprocessing", "concurrent.futures"]}
+
+
+def test_the_parser_is_built_at_the_first_main_call_and_kept():
+    out = _run("""
+built = [netselect.cli.build_parser.cache_info().currsize]
+for _ in range(2):
+    netselect.cli.main(["features", "--data", os.devnull, "--features", "link_density"])
+    built.append(netselect.cli.build_parser.cache_info().currsize)
+print(json.dumps({"built": built, "hits": netselect.cli.build_parser.cache_info().hits}))
+""")
+    assert out == {"built": [0, 1, 1], "hits": 1}
 
 
 def test_difflib_loads_only_to_name_an_unknown_key():
