@@ -35,6 +35,7 @@ from .generators import GRID_PARAMS, GridPrior, ModelSpec, model_spec_to_json, p
 from .graph import Graph, _edge_lines, build_graph, read_edge_list, write_edge_list
 # simulate_feature_matrix stays importable here for perfbench/spans.py to wrap.
 from .inference import (  # noqa: F401
+    DEFAULT_SAMPLES,
     DiscretePmf,
     FeatureSamples,
     LossKind,
@@ -49,8 +50,6 @@ from .inference import (  # noqa: F401
     simulate_feature_matrix,
 )
 from .seeds import derive_seed
-
-DEFAULT_SAMPLES = 100
 
 _INDETERMINATE_ERRORS = (UndefinedBayesFactor, UndefinedPosterior, DegenerateRatio)
 

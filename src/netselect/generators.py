@@ -32,7 +32,7 @@ from .features import (_list_of, _object, _read, _strict_float, _strict_int, _ty
                        count_triangles)
 from .graph import Graph, _canonical_pairs
 
-_PAIR_CHUNK = 1 << 20  # max Bernoulli draws per RNG call when sampling pair sets
+_PAIR_CHUNK = 1 << 20  # max pairs in one block of a pair draw (one row at least)
 
 
 # --------------------------------------------------------------------------
@@ -452,24 +452,9 @@ def parse_model_spec(obj) -> ModelSpec:
 # Generators
 # --------------------------------------------------------------------------
 
-def _row_chunks(n: int, chunk_pairs: int) -> Iterator[list[int]]:
-    """Group rows u of the strict upper triangle so each group has a bounded pair count."""
-    rows: list[int] = []
-    total = 0
-    for u in range(n - 1):
-        rows.append(u)
-        total += n - 1 - u
-        if total >= chunk_pairs:
-            yield rows
-            rows = []
-            total = 0
-    if rows:
-        yield rows
-
-
 _PAIR_INDEX_CACHE: dict = {}  # n -> (iu, ju)
 _PAIR_PROB_CACHE: dict = {}  # fixed-membership (spec, k) -> probs over all pairs
-_CACHE_BYTES = 9 * 8 * _PAIR_CHUNK  # per cache: nine probability vectors at the largest one-shot n
+_CACHE_BYTES = 9 * 8 * _PAIR_CHUNK  # per cache: 9 probability vectors at the largest one-block n
 #: (state before, size, uniforms, state after, state one output in)
 _LAST_UNIFORMS = (None, 0, None, None, None)
 
@@ -530,39 +515,37 @@ def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
     return u
 
 
-def _draw_pairs(n: int, iu: np.ndarray, ju: np.ndarray, probs,
-                rng: np.random.Generator) -> Graph:
-    """The graph of the pairs (iu[i], ju[i]) whose uniform falls below probs[i]."""
-    hits = np.flatnonzero(_uniforms(rng, len(iu)) < probs)
-    return Graph(n, iu[hits], ju[hits])
+def _one_block(n: int) -> bool:
+    """Whether all n(n-1)/2 pairs fit in one block of a pair draw."""
+    return n * (n - 1) // 2 <= _PAIR_CHUNK
 
 
-def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator,
-                       cache_key=None) -> Graph:
-    """Draw each unordered pair independently.
+def _pair_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The strict upper triangle's pairs (iu[i], ju[i]) in row-major order, in
+    blocks of whole rows: one block (the cached ``np.triu_indices``) when
+    ``_one_block(n)``, else blocks of ``_PAIR_CHUNK // (n - 1)`` rows (one at
+    least), each of at most ``_PAIR_CHUNK`` pairs when a row fits."""
+    if _one_block(n):
+        yield _pair_indices(n)
+        return
+    rows = max(1, _PAIR_CHUNK // (n - 1))
+    for lo in range(0, n - 1, rows):
+        iu, ju = np.triu_indices(min(rows, n - 1 - lo), lo + 1, n)
+        iu += lo
+        yield iu, ju
 
-    ``pair_probs(iu, ju)`` returns the per-pair probabilities (scalar or
-    array) for row-major upper-triangle index arrays. Pairs are consumed in
-    row-major order in bounded chunks, so draws depend only on (n, rng state);
-    a one-shot draw may reuse the last uniform vector (``_uniforms``). A
-    ``cache_key`` says that ``pair_probs`` is fixed: its probabilities over
-    all pairs are then kept as ``_PAIR_PROB_CACHE[cache_key]``, where
-    ``sample_graph`` looks them up for later draws.
-    """
-    if n * (n - 1) // 2 <= _PAIR_CHUNK:
-        iu, ju = _pair_indices(n)
-        probs = pair_probs(iu, ju)
-        if cache_key is not None:
-            _remember(_PAIR_PROB_CACHE, cache_key, probs)
-        return _draw_pairs(n, iu, ju, probs, rng)
-    # large n: bounded memory, same row-major consumption order
+
+def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator) -> Graph:
+    """Draw each unordered pair independently: ``pair_probs(iu, ju)`` gives
+    the probabilities (a scalar or an array) of the pairs (iu[i], ju[i]) of a
+    block of ``_pair_blocks(n)``, whose uniforms come from ``_uniforms``.
+    Consecutive blocks take consecutive outputs of ``rng``, so a draw depends
+    on (n, pair_probs, rng state) and not on the blocking."""
     los, his = [], []
-    for rows in _row_chunks(n, _PAIR_CHUNK):
-        iu = np.concatenate([np.full(n - 1 - u, u, dtype=np.int64) for u in rows])
-        ju = np.concatenate([np.arange(u + 1, n, dtype=np.int64) for u in rows])
-        mask = rng.random(len(iu)) < pair_probs(iu, ju)
-        los.append(iu[mask])
-        his.append(ju[mask])
+    for iu, ju in _pair_blocks(n):
+        hits = np.flatnonzero(_uniforms(rng, len(iu)) < pair_probs(iu, ju))
+        los.append(iu[hits])
+        his.append(ju[hits])
     return Graph(n, np.concatenate(los), np.concatenate(his))
 
 
@@ -575,12 +558,8 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
 
 
 def generate_sbm(n: int, k: int, membership: Sequence[int], edge_probs,
-                 rng: np.random.Generator, cache_key=None) -> Graph:
-    """Block-model draw: pair (u, v) is an edge w.p. edge_probs[z_u][z_v].
-
-    A ``cache_key`` stores the pair probabilities under that key for
-    ``sample_graph``'s later draws with the same membership and edge_probs.
-    """
+                 rng: np.random.Generator) -> Graph:
+    """Block-model draw: pair (u, v) is an edge w.p. edge_probs[z_u][z_v]."""
     _check_n(n)
     mat = np.asarray(edge_probs, dtype=float)
     z = np.asarray(membership, dtype=np.int64)
@@ -589,7 +568,7 @@ def generate_sbm(n: int, k: int, membership: Sequence[int], edge_probs,
         raise InvalidSpec(f"membership must have length {n}")
     if z.min() < 0 or z.max() >= k:
         raise InvalidSpec("membership labels must lie in [0, K)")
-    return _sample_pair_graph(n, lambda iu, ju: mat[z[iu], z[ju]], rng, cache_key)
+    return _sample_pair_graph(n, lambda iu, ju: mat[z[iu], z[ju]], rng)
 
 
 def equal_blocks(n: int, k: int) -> np.ndarray:
@@ -728,27 +707,28 @@ def _snapshot(adj: list[int]) -> Graph:
 
 
 def sample_graph(spec: ModelSpec, rng: np.random.Generator) -> Graph:
-    """One prior-predictive draw: sample parameters from their priors, then a graph."""
+    """One prior-predictive draw: sample parameters from their priors, then a
+    graph. A block model with a fixed membership keeps its pair probabilities
+    at each k in ``_PAIR_PROB_CACHE[(spec, k)]`` when they are one block
+    (``_one_block``); the spec checked them, so they are drawn unchecked."""
     if isinstance(spec, ErdosRenyi):
         return generate_er(spec.n, sample_parameter(spec.p, rng), rng)
     if isinstance(spec, Sbm):
         k = spec.k if isinstance(spec.k, int) else int(round(sample_parameter(spec.k, rng)))
-        # a fixed membership fixes the pair probabilities for this k
         key = None if isinstance(spec.membership, DirichletMembership) else (spec, k)
         probs = None if key is None else _recall(_PAIR_PROB_CACHE, key)
-        if probs is not None:  # validated when first computed
-            return _draw_pairs(spec.n, *_pair_indices(spec.n), probs, rng)
-        if spec.edge_probs is not None:
-            mat = spec.edge_probs
-        else:
-            mat = np.full((k, k), spec.p_out, dtype=float)
-            np.fill_diagonal(mat, spec.p_in)
-        if key is None:
-            props = rng.dirichlet(np.full(k, spec.membership.alpha))
-            z = rng.choice(k, size=spec.n, p=props)
-        else:
-            z = equal_blocks(spec.n, k) if spec.membership is None else spec.membership
-        return generate_sbm(spec.n, k, z, mat, rng, key)
+        if probs is None:
+            mat = (np.asarray(spec.edge_probs) if spec.edge_probs is not None
+                   else np.where(np.eye(k, dtype=bool), spec.p_in, spec.p_out))
+            if key is None:
+                z = rng.choice(k, size=spec.n, p=rng.dirichlet(np.full(k, spec.membership.alpha)))
+            else:
+                z = np.array(spec.membership or equal_blocks(spec.n, k))
+            pair_probs = lambda iu, ju: mat[z[iu], z[ju]]
+            if key is None or not _one_block(spec.n):
+                return _sample_pair_graph(spec.n, pair_probs, rng)
+            probs = _remember(_PAIR_PROB_CACHE, key, pair_probs(*_pair_indices(spec.n)))
+        return _sample_pair_graph(spec.n, lambda iu, ju: probs, rng)
     if isinstance(spec, PowerLaw):
         alpha = sample_parameter(spec.alpha, rng)
         return _pair_stubs(sample_powerlaw_degrees(spec.n, alpha, spec.d_min, rng), rng)

@@ -42,6 +42,7 @@ from .generators import (
 from .graph import Graph, induced_subgraph
 from .seeds import derive_seed
 
+DEFAULT_SAMPLES = 100  # prior-predictive draws per model or grid point
 PSEUDO_COUNT = 0.5
 ZERO_VARIANCE_WEIGHT_CAP = 1e12
 DECISION_REL_TOL = 1e-9

@@ -21,6 +21,7 @@ from .features import (FeatureKind, _list_of, _object, _read, _strict_float, _st
 from .generators import ModelSpec, model_spec_to_json, parse_model_spec, sample_graph
 # estimate_density and evidence stay importable here for perfbench/spans.py to wrap.
 from .inference import (  # noqa: F401
+    DEFAULT_SAMPLES,
     FeatureSamples,
     LossKind,
     ParamPosterior,
@@ -33,8 +34,6 @@ from .inference import (  # noqa: F401
     grid_posterior,
 )
 from .seeds import derive_seed, spawn_rng
-
-DEFAULT_STUDY_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class StudyConfig:
     candidates: tuple[Candidate, ...]
     windows: tuple[Window, ...]
     rows: tuple[StudyRow, ...]
-    n_samples: int = DEFAULT_STUDY_SAMPLES
+    n_samples: int = DEFAULT_SAMPLES
     master_seed: int = 0
 
     def __post_init__(self):
@@ -94,6 +93,9 @@ class StudyConfig:
             if len(set(row.features)) < len(row.features):
                 raise InvalidSpec(f"each row feature may be given once, got "
                                   f"{[k.name for k in row.features]}")
+        labels = [w.label for w in self.windows]
+        if len(set(labels)) < len(labels):  # each is one CSV column and one JSON key
+            raise InvalidSpec(f"each window label may be given once, got {labels}")
         if self.n_samples < 1:
             raise InvalidSpec("n_samples must be >= 1")
 
@@ -130,7 +132,7 @@ _STUDY = {
                                           "lo": (_strict_float, ...),
                                           "hi": (_strict_float, ...)})), ()),
     "rows": (_list_of(_study_row), ...),
-    "n_samples": (_strict_int, DEFAULT_STUDY_SAMPLES),
+    "n_samples": (_strict_int, DEFAULT_SAMPLES),
     "seed": (_strict_int, 0),
 }
 

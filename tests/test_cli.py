@@ -61,9 +61,8 @@ def test_generate_default_sample_count_is_100(tmp_path, er_spec):
     assert run_cli(["generate", "--model", er_spec, "--seed", 0,
                     "--out", out]) == 0
     assert len(list(out.glob("sample_*.tsv"))) == 100
-    from netselect.cli import DEFAULT_SAMPLES
-    from netselect.study import DEFAULT_STUDY_SAMPLES
-    assert DEFAULT_SAMPLES == 100 and DEFAULT_STUDY_SAMPLES == 100
+    from netselect.inference import DEFAULT_SAMPLES
+    assert DEFAULT_SAMPLES == 100
 
 
 def test_generate_rejects_bad_spec(tmp_path):
@@ -451,6 +450,17 @@ def test_non_finite_range_and_window_bounds_in_a_config_are_input_errors(tmp_pat
     study["windows"][0]["lo"] = math.nan
     assert run_cli(["simulate", "--config", write_json(tmp_path / "s.json", study)]) == 2
     assert "window needs finite lo <= hi" in capsys.readouterr().err
+
+
+def test_simulate_refuses_two_windows_of_one_label(tmp_path, capsys):
+    study = json.loads(Path(study_config(tmp_path, n=30, samples=5)).read_text())
+    study["windows"] = [{"param": "alpha", "lo": 0.1, "hi": 0.15},
+                        {"param": "alpha", "lo": 0.1000001, "hi": 0.15}]
+    out = tmp_path / "table.csv"
+    assert run_cli(["simulate", "--config", write_json(tmp_path / "s.json", study),
+                    "--out", out]) == 2
+    assert "window label may be given once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, config", [(["--threads", "0"], None), (["--threads", "-5"], None),

@@ -1,9 +1,10 @@
 """Byte-identity of fixed-seed outputs against committed golden files.
 
 ``tests/golden/`` holds the SHA-256 of ``write_edge_list`` for fixed-seed
-draws of every model family (n = 5..300), ``compare`` JSON reports with the
-models in both orders, the ``compare --plot-data`` CSVs and a ``simulate``
-CSV table. Each test
+draws of every model family (n = 5..300), of the pair-drawn families at sizes
+around the one-block bound (``edge_lists_large.json``), ``compare`` JSON
+reports with the models in both orders, the ``compare --plot-data`` CSVs and
+a ``simulate`` CSV table. Each test
 regenerates its output and compares bytes, so any change to RNG consumption,
 graph construction or feature values shows up here. To re-record after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -36,6 +37,9 @@ from netselect.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SIZES = (5, 17, 64, 65, 129, 300)
+#: The largest n whose pairs are drawn as one block (1,047,628 pairs), the
+#: first n drawn in more than one, and a larger n of several blocks.
+LARGE_SIZES = (1448, 1449, 2100)
 
 
 def _specs():
@@ -66,10 +70,21 @@ def _specs():
     yield "loglinear_degree_n40", LogLinear(40, 0.7, terms, burn_in=4000, thin=500)
 
 
-def edge_list_hashes() -> dict:
+def _large_specs():
+    """The Erdos-Renyi and block-model specs, whose pairs are drawn in blocks."""
+    for n in LARGE_SIZES:
+        yield f"er_n{n}", ErdosRenyi(n, UniformPrior(0.001, 0.004))
+        yield f"sbm_n{n}", Sbm(n, 3, p_in=0.006, p_out=0.001)
+        yield f"sbm_dirichlet_n{n}", Sbm(n, 4, p_in=0.005, p_out=0.0005,
+                                         membership=DirichletMembership(0.7))
+        yield f"sbm_kgrid_n{n}", Sbm(n, GridPrior((2.0, 3.0, 5.0)),
+                                     p_in=0.004, p_out=0.001)
+
+
+def edge_list_hashes(specs) -> dict:
     """name -> SHA-256 of the edge list of each of three fixed-seed draws."""
     out = {}
-    for name, spec in _specs():
+    for name, spec in specs:
         for i in range(3):
             rng = np.random.default_rng(derive_seed(20201, i))
             text = write_edge_list(sample_graph(spec, rng))
@@ -167,7 +182,12 @@ def simulate_table(work: Path, threads: int) -> bytes:
 
 def test_edge_lists_match_golden_hashes():
     golden = json.loads((GOLDEN / "edge_lists.json").read_text(encoding="utf-8"))
-    assert edge_list_hashes() == golden
+    assert edge_list_hashes(_specs()) == golden
+
+
+def test_large_edge_lists_match_golden_hashes():
+    golden = json.loads((GOLDEN / "edge_lists_large.json").read_text(encoding="utf-8"))
+    assert edge_list_hashes(_large_specs()) == golden
 
 
 def test_compare_report_matches_golden(tmp_path):
@@ -197,8 +217,10 @@ if __name__ == "__main__":  # re-record the golden files
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / "edge_lists.json").write_text(
-        json.dumps(edge_list_hashes(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for name, specs in (("edge_lists", _specs()), ("edge_lists_large", _large_specs())):
+        (GOLDEN / f"{name}.json").write_text(
+            json.dumps(edge_list_hashes(specs), indent=1, sort_keys=True) + "\n",
+            encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "compare.json").write_bytes(compare_report(Path(tmp)))
         (GOLDEN / "compare_er_first.json").write_bytes(er_first_compare_report(Path(tmp), 1))

@@ -2,6 +2,7 @@
 
 import pickle
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from netselect import (
     write_edge_list,
 )
 from netselect.generators import _pair_stubs, _sample_pair_graph, _snapshot
+from netselect.graph import Graph
 from netselect.inference import fix_grid_point
 
 
@@ -173,6 +175,33 @@ def test_chunked_pair_sampling_matches_one_shot(monkeypatch, n):
             chunked = _sample_pair_graph(n, pair_probs, np.random.default_rng(n))
             assert chunked == one_shot
         monkeypatch.undo()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 80), st.sampled_from([1, 7, 64, generators._PAIR_CHUNK]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_pair_draws_equal_one_uniform_call_over_the_triangle(n, chunk, blocked, seed):
+    """A pair draw in any blocking keeps exactly the pairs of
+    ``np.triu_indices(n, 1)`` whose uniform, from one ``rng.random`` call,
+    falls below their probability: a scalar p, or a random symmetric block
+    matrix over random labels."""
+    setup = np.random.default_rng(seed ^ 0x5EED)
+    k = int(setup.integers(1, 5))
+    upper = np.triu(setup.random((k, k)))
+    mat = upper + np.triu(upper, 1).T
+    z = setup.integers(k, size=n)
+    p = float(setup.random())
+    pair_probs = (lambda iu, ju: mat[z[iu], z[ju]]) if blocked else (lambda iu, ju: p)
+    iu, ju = np.triu_indices(n, 1)
+    reference = np.random.default_rng(seed)
+    keep = reference.random(len(iu)) < pair_probs(iu, ju)
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(generators, "_PAIR_CHUNK", chunk):
+        g = _sample_pair_graph(n, pair_probs, rng)
+        blocks = [len(rows) for rows, _ in generators._pair_blocks(n)]
+    assert g == Graph(n, iu[keep], ju[keep])
+    assert max(blocks) <= max(chunk, n - 1)  # whole rows, within the chunk
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_chunked_block_draws_match_one_shot_and_cache_nothing(monkeypatch):

@@ -142,7 +142,7 @@ def study_configs(draw):
                         unique=True))
     windows = draw(st.lists(st.builds(lambda p, a, b: Window(p, min(a, b), max(a, b)),
                                       st.sampled_from(["p", "k", "alpha"]), finite(), finite()),
-                            max_size=3))
+                            max_size=3, unique_by=lambda w: w.label))  # a label is a column
     rows = draw(st.lists(st.builds(
         lambda data_id, spec, kinds, row_losses: StudyRow(data_id, spec, tuple(kinds),
                                                           tuple(row_losses)),

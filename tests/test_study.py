@@ -71,6 +71,19 @@ def test_window_rejects_non_finite_bounds(lo, hi):
         Window("alpha", lo, hi)
 
 
+def test_a_study_refuses_two_windows_of_one_label():
+    # ``:g`` prints both lower bounds as 0.1, so the two windows would share
+    # one CSV header cell and one JSON key, and the second would hide the first
+    windows = (Window("k", 0.1, 0.15), Window("k", 0.1000001, 0.15))
+    assert windows[0].label == windows[1].label
+    with pytest.raises(InvalidSpec, match="window label may be given once"):
+        replace(small_config(), windows=windows)
+    obj = study_config_to_json(small_config())
+    obj["windows"].append(dict(obj["windows"][0]))
+    with pytest.raises(InvalidSpec, match="window label may be given once"):
+        parse_study_config(obj)
+
+
 def test_run_study_structure_and_normalization():
     config = small_config(losses=("quadratic", "absolute"))
     results = run_study(config)
