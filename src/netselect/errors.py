@@ -47,4 +47,4 @@ class UndefinedPosterior(NetselectError):
 
 
 class DegenerateRatio(NetselectError):
-    """An expected-loss ratio has a zero denominator."""
+    """Both expected losses of a loss ratio are zero."""

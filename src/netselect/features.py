@@ -305,6 +305,21 @@ def count_triangles(g: Graph) -> int:
     return g._triangles
 
 
+def _closed_neighbourhoods(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, closed): row v, closed[ptr[v]:ptr[v + 1]], is {v} | N(v) ascending,
+    as sorting the (hi, lo) edges, then (v, v), then the (lo, hi) edges stably
+    by source puts smaller neighbours, v, larger ones."""
+    n = g.node_count
+    nodes = np.arange(n)
+    src = np.concatenate((g.hi, nodes, g.lo))
+    dst = np.concatenate((g.lo, nodes, g.hi))
+    # a stable sort of 16-bit keys is a radix sort
+    keys = src.astype(np.uint16) if n <= 1 << 16 else src
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(g.degrees + 1, out=ptr[1:])
+    return ptr, dst[np.argsort(keys, kind="stable")]
+
+
 def _neighbour_tables(g: Graph) -> tuple[np.ndarray, list]:
     """(order, blocks): the search's node order and, per block of consecutive
     positions lo..hi - 1 in it, the padded neighbour table ``(lo, hi, table)``
@@ -319,7 +334,7 @@ def _neighbour_tables(g: Graph) -> tuple[np.ndarray, list]:
     pads no other row and a block's gather stays bounded.
     """
     n = g.node_count
-    ptr, closed = g._closed_neighbourhoods()
+    ptr, closed = _closed_neighbourhoods(g)
     starts, sizes = ptr[:-1], np.diff(ptr)
     if n * int(sizes.max()) <= _EDGE_CHUNK:
         order, cuts = np.arange(n), [0, n]

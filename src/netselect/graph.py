@@ -5,13 +5,11 @@ A ``Graph`` is an immutable value: its edges are the distinct pairs
 ``bincount(concatenate((lo, hi)))``. Every producer -- ``build_graph``,
 ``read_edge_list``, ``induced_subgraph``, ``toggle_edge`` and the generators --
 hands the constructor such arrays; edits return a new graph that shares
-nothing with the old one. The closed-neighbourhood CSR (row v,
-``closed[ptr[v]:ptr[v + 1]]``, is {v} | N(v) ascending) is built on first access
-and kept, so a draw whose features read only degrees never builds it; there is
-no open-row view. ``has_edge`` searches the sorted ``lo * n + hi`` edge keys.
-All arrays are read-only. ``features`` packs closed neighbourhoods into 64-bit
-words, so that neighbourhood intersections and unions are word-wise AND/OR in
-numpy.
+nothing with the old one. A graph keeps no neighbourhood structure: a kernel
+that wants one (the closed-neighbourhood CSR of ``features.diameter``, the
+packed bitsets of ``features.count_triangles``) builds it from the edge arrays
+and drops it when it returns. ``has_edge`` searches the sorted ``lo * n + hi``
+edge keys. All arrays are read-only.
 """
 
 from __future__ import annotations
@@ -33,10 +31,9 @@ class Graph:
 
     Build graphs with ``build_graph`` (or a generator); the constructor takes
     canonical row-major lo < hi edge arrays (int64) and checks nothing.
-    Neighbourhoods are read from the closed CSR; degrees from ``degrees``.
-    ``_triangles`` memoizes the triangle count once ``features.count_triangles``
-    or ``features.diameter`` has computed it, and ``_csr`` the closed (ptr,
-    closed) pair once a kernel has read it.
+    Its fields are the edge arrays, ``degrees``, ``edge_count`` and
+    ``_triangles``, which memoizes the triangle count once
+    ``features.count_triangles`` or ``features.diameter`` has computed it.
     """
 
     node_count: int
@@ -45,7 +42,6 @@ class Graph:
     degrees: np.ndarray = field(init=False)
     edge_count: int = field(init=False)
     _triangles: Optional[int] = field(init=False, default=None)
-    _csr: Optional[tuple[np.ndarray, np.ndarray]] = field(init=False, default=None)
 
     def __post_init__(self):
         n = self.node_count
@@ -68,23 +64,6 @@ class Graph:
     def __hash__(self):
         return hash((self.node_count, self.edge_count))
 
-    def _closed_neighbourhoods(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ptr, closed), built on first use: row v, closed[ptr[v]:ptr[v + 1]], is
-        {v} | N(v) ascending, as sorting the (hi, lo) edges, then (v, v), then the
-        (lo, hi) edges stably by source puts smaller neighbours, v, larger ones."""
-        if self._csr is None:
-            n = self.node_count
-            nodes = np.arange(n)
-            src = np.concatenate((self.hi, nodes, self.lo))
-            dst = np.concatenate((self.lo, nodes, self.hi))
-            # a stable sort of 16-bit keys is a radix sort
-            keys = src.astype(np.uint16) if n <= 1 << 16 else src
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(self.degrees + 1, out=ptr[1:])
-            closed = dst[np.argsort(keys, kind="stable")]
-            object.__setattr__(self, "_csr", (_read_only(ptr), _read_only(closed)))
-        return self._csr
-
     def _edge_index(self, u: int, v: int) -> tuple[np.ndarray, int, int]:
         """(keys, key, i): the row-major ``lo * n + hi`` edge keys, the key of
         the pair {u, v} and its insertion index in keys; checks both node ids."""
@@ -105,11 +84,6 @@ class Graph:
 
     def __repr__(self) -> str:  # keep reprs short; the arrays can be large
         return f"Graph(n={self.node_count}, m={self.edge_count})"
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _canonical_pairs(node_count: int, u: np.ndarray,
@@ -179,7 +153,10 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
 def shortest_path_distances(g: Graph, source: int) -> list[Optional[int]]:
     """Breadth-first hop counts from ``source``; None marks unreachable nodes."""
     _check_node(source, g.node_count)
-    ptr, closed = g._closed_neighbourhoods()
+    neighbours: list[list[int]] = [[] for _ in range(g.node_count)]
+    for u, v in g.edges():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     dist: list[Optional[int]] = [None] * g.node_count
     dist[source] = 0
     frontier = [source]
@@ -188,7 +165,7 @@ def shortest_path_distances(g: Graph, source: int) -> list[Optional[int]]:
         d += 1
         nxt = []
         for u in frontier:
-            for v in closed[ptr[u]:ptr[u + 1]].tolist():  # u is already visited
+            for v in neighbours[u]:
                 if dist[v] is None:
                     dist[v] = d
                     nxt.append(v)
@@ -200,15 +177,17 @@ def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest member.
 
     Every node carries a label: a node of its own component, never larger
-    than itself. Each round takes the smallest label in the node's closed
-    neighbourhood and then the label of that label (pointer jumping), until
-    nothing changes; every component is then labelled by its smallest node.
+    than itself. Each round takes the smallest label of the node and its
+    neighbours, read over the edge arrays, then the label of that label
+    (pointer jumping), until nothing changes; every component is then
+    labelled by its smallest node.
     """
     n = g.node_count
-    ptr, closed = g._closed_neighbourhoods()
     labels = np.arange(n)
     while n:
-        low = np.minimum.reduceat(labels[closed], ptr[:-1])
+        low = labels.copy()
+        np.minimum.at(low, g.lo, labels[g.hi])
+        np.minimum.at(low, g.hi, labels[g.lo])
         low = low[low]
         if np.array_equal(low, labels):
             break

@@ -245,8 +245,19 @@ def expected_loss(samples: FeatureSamples, observed: float, loss: LossKind) -> f
     return float(np.mean(loss.apply(samples.values, float(observed))))
 
 
+def _loss_ratio(el1: float, el2: float, where: str) -> float:
+    """el1 / el2: inf when only el2 is zero, 0 when only el1 is; when both
+    are, neither model is favoured and DegenerateRatio names ``where``."""
+    if el2 == 0:
+        if el1 == 0:
+            raise DegenerateRatio(f"both expected losses are zero {where}")
+        return math.inf
+    return el1 / el2
+
+
 def combined_loss_ratio(pairs: Sequence[tuple[float, float]]) -> float:
-    """Arithmetic mean of per-feature expected-loss ratios el1/el2.
+    """Arithmetic mean of per-feature expected-loss ratios el1/el2 (one inf
+    ratio, where only el2 is zero, makes it inf).
 
     Averaging ratios (not losses) makes the result invariant to any common
     rescaling of a single feature's loss pair, so no feature's scale can
@@ -254,12 +265,8 @@ def combined_loss_ratio(pairs: Sequence[tuple[float, float]]) -> float:
     """
     if len(pairs) == 0:
         raise InvalidInput("need at least one expected-loss pair")
-    ratios = []
-    for el1, el2 in pairs:
-        if el2 == 0:
-            raise DegenerateRatio(f"zero denominator in loss pair ({el1}, {el2})")
-        ratios.append(el1 / el2)
-    return float(np.mean(ratios))
+    return float(np.mean([_loss_ratio(el1, el2, f"in loss pair ({el1}, {el2})")
+                          for el1, el2 in pairs]))
 
 
 def decide(combined_ratio: float, posterior_odds: float) -> Decision:
@@ -659,7 +666,7 @@ def report_to_json(report: ComparisonReport) -> dict:
              **{key: _json_number(getattr(fc, attr)) for key, attr in _FEATURE_KEYS}}
             for fc in report.features
         ],
-        "combined_ratio": report.combined_ratio,
+        "combined_ratio": _json_number(report.combined_ratio),
         "model_priors": list(report.model_priors),
         "posterior_odds": _json_number(report.posterior_odds),
         "decision": report.decision.value,
@@ -670,8 +677,8 @@ def report_to_json(report: ComparisonReport) -> dict:
 
 def report_from_json(obj: dict) -> ComparisonReport:
     """The report ``report_to_json`` wrote. Its counts and ratios must be JSON
-    numbers of their type (InvalidSpec otherwise); keys it does not know are
-    ignored, since report keys are additive."""
+    numbers of their type, or "inf" for an infinite ``combined_ratio`` (else
+    InvalidSpec); unknown keys are ignored, since report keys are additive."""
     features = tuple(
         FeatureComparison(kind=FeatureKind.from_json({key: fc.get(key) for key in _KIND_FIELDS}),
                           **{attr: _parse_number(fc[key]) for key, attr in _FEATURE_KEYS})
@@ -684,7 +691,8 @@ def report_from_json(obj: dict) -> ComparisonReport:
         master_seed=_strict_int(obj["master_seed"], "report 'master_seed'"),
         loss=LossKind.from_json(obj.get("loss", "quadratic")),
         features=features,
-        combined_ratio=_strict_float(obj["combined_ratio"], "report 'combined_ratio'"),
+        combined_ratio=math.inf if obj["combined_ratio"] == "inf"
+        else _strict_float(obj["combined_ratio"], "report 'combined_ratio'"),
         model_priors=tuple(_strict_float(p, "report 'model_priors'") for p in obj["model_priors"]),
         posterior_odds=_parse_number(obj["posterior_odds"]),
         decision=Decision(obj["decision"]),
@@ -728,7 +736,6 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
                                                  master_seed, workers)
 
     comparisons = []
-    loss_pairs = []
     log_total1 = 0.0
     log_total2 = 0.0
     zero1 = zero2 = False
@@ -740,14 +747,10 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
         ev2 = evidence(estimate_density(samples2), observed)
         el1 = expected_loss(samples1, observed, loss)
         el2 = expected_loss(samples2, observed, loss)
-        if el2 == 0:
-            raise DegenerateRatio(
-                f"expected loss of {model_ids[1]} is zero for {kind.name}")
         comparisons.append(FeatureComparison(
             kind=kind, observed=observed, evidence_1=ev1, evidence_2=ev2,
-            bayes_factor=bayes_factor(ev1, ev2),
-            expected_loss_1=el1, expected_loss_2=el2, loss_ratio=el1 / el2))
-        loss_pairs.append((el1, el2))
+            bayes_factor=bayes_factor(ev1, ev2), expected_loss_1=el1, expected_loss_2=el2,
+            loss_ratio=_loss_ratio(el1, el2, f"for {kind.name}")))
         zero1 |= ev1 == 0
         zero2 |= ev2 == 0
         log_total1 += -math.inf if ev1 == 0 else math.log(ev1)
@@ -766,7 +769,8 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
         except OverflowError:  # the features separate the models by > ~709 nats
             posterior_odds = math.inf if prior_odds > 0 else 0.0
 
-    combined = combined_loss_ratio(loss_pairs)
+    combined = combined_loss_ratio([(fc.expected_loss_1, fc.expected_loss_2)
+                                    for fc in comparisons])
     return ComparisonReport(
         model_1=model_ids[0], model_2=model_ids[1], n_samples=n_samples,
         master_seed=master_seed, loss=loss, features=tuple(comparisons),

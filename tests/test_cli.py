@@ -1,8 +1,10 @@
 import argparse
+import gc
 import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +388,39 @@ def test_compare_plot_data_draws_each_ensemble_once(tmp_path, monkeypatch):
                     "--samples", 20, "--seed", 1, "--out", tmp_path / "r.json",
                     "--plot-data", tmp_path / "plots"]) == 0
     assert len(draws) == 2 * 20
+
+
+def test_repeated_compares_in_one_process_keep_memory_flat(tmp_path):
+    """Fifty more compares after three warm ones leave under 256 KB more
+    traced memory behind: module-level memos are bounded, and no graph,
+    feature matrix or report outlives its call. tracemalloc sees numpy
+    buffers, and starts before the warm-up so that a memo replaced later
+    counts both its old and its new buffer."""
+    data = make_data_graph(tmp_path, {"type": "sbm", "n": 200, "k": 4,
+                                      "p_in": 0.1, "p_out": 0.01})
+    m1 = write_json(tmp_path / "m1.json", {"type": "sbm", "n": 200, "k": 4,
+                                           "p_in": 0.1, "p_out": 0.01})
+    m2 = write_json(tmp_path / "m2.json", {"type": "er", "n": 200,
+                                           "p": {"uniform": [0.02, 0.05]}})
+
+    def compare(seed):
+        assert run_cli(["compare", "--data", data, "--model", m1, "--model2", m2,
+                        "--features", "diameter,triangle_count,global_clustering",
+                        "--samples", 20, "--seed", seed, "--out", tmp_path / "r.json"]) == 0
+
+    tracemalloc.start()
+    try:
+        for seed in range(3):
+            compare(seed)
+        gc.collect()
+        warm = tracemalloc.get_traced_memory()[0]
+        for seed in range(3, 53):
+            compare(seed)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024
 
 
 # --------------------------------------------------------------------------

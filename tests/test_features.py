@@ -507,7 +507,7 @@ def test_neighbour_table_blocks_are_bounded_and_hold_each_closed_row(monkeypatch
               (150, list(generate_er(150, 0.3, np.random.default_rng(4)).edges()))]
     for n, edges in graphs:
         g = build_graph(n, edges)
-        ptr, closed = g._closed_neighbourhoods()
+        ptr, closed = features._closed_neighbourhoods(g)
         sizes = np.diff(ptr)
         order, blocks = features._neighbour_tables(g)
         assert sorted(order.tolist()) == list(range(n))

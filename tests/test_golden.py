@@ -110,12 +110,14 @@ def _compare_inputs(work: Path, er_first: bool = False) -> list[str]:
     return ["--data", str(work / "data.tsv"), "--model", first, "--model2", second]
 
 
+ALL_FEATURES = ("degree_entropy,power_law_exponent,block_count,triangle_count,"
+                "diameter,link_density,global_clustering")
+
+
 def compare_report(work: Path) -> bytes:
     """A ``netselect compare`` JSON report over all seven features."""
     out = work / "compare.json"
-    code = main(["compare", *_compare_inputs(work), "--features",
-                 "degree_entropy,power_law_exponent,block_count,triangle_count,"
-                 "diameter,link_density,global_clustering",
+    code = main(["compare", *_compare_inputs(work), "--features", ALL_FEATURES,
                  "--samples", "30", "--seed", "3", "--out", str(out)])
     assert code == 0
     return out.read_bytes()
@@ -124,8 +126,10 @@ def compare_report(work: Path) -> bytes:
 def er_first_compare_report(work: Path, threads: int) -> bytes:
     """``compare_report`` with the two models swapped, so each seed's ER draw
     comes before its SBM draw and neither can reuse the other's uniforms, and
-    without block_count (whose expected loss is zero in this order, which
-    exits 3)."""
+    without block_count: the SBM's expected loss on it is zero, and its
+    infinite loss ratio would make ``combined_ratio`` "inf" whatever the
+    other six ratios are (``test_er_first_compare_with_block_count_picks_sbm``
+    checks that case)."""
     out = work / f"compare_er_first_{threads}.json"
     code = main(["compare", *_compare_inputs(work, er_first=True), "--features",
                  "degree_entropy,power_law_exponent,triangle_count,diameter,"
@@ -198,6 +202,25 @@ def test_er_first_compare_report_matches_golden_at_one_and_two_workers(tmp_path)
     golden = (GOLDEN / "compare_er_first.json").read_bytes()
     assert er_first_compare_report(tmp_path, 1) == golden
     assert er_first_compare_report(tmp_path, 2) == golden
+
+
+def test_er_first_compare_with_block_count_picks_sbm(tmp_path):
+    """A zero expected loss of model_2 against a positive one of model_1 is an
+    infinite loss ratio that favours model_2, not an indeterminate exit 3; the
+    SBM wins in this order as it does first (``compare.json``)."""
+    reports = []
+    for threads in (1, 2):
+        out = tmp_path / f"er_first_all_{threads}.json"
+        code = main(["compare", *_compare_inputs(tmp_path, er_first=True), "--features",
+                     ALL_FEATURES, "--samples", "30", "--seed", "3",
+                     "--threads", str(threads), "--out", str(out)])
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert report["decision"] == "model_2" and report["combined_ratio"] == "inf"
+    assert [fc["kind"] for fc in report["features"] if fc["loss_ratio"] == "inf"] == ["block_count"]
+    assert json.loads((GOLDEN / "compare.json").read_text())["decision"] == "model_1"
 
 
 def test_plot_data_matches_golden_at_one_and_two_workers(tmp_path):

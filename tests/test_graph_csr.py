@@ -1,4 +1,6 @@
-"""Property tests of the CSR graph constructor against a set-based oracle."""
+"""Property tests of the graph constructor, of the closed CSR that
+``features`` builds from a graph and of ``connected_components`` against
+set-based oracles."""
 
 import pickle
 from collections import Counter
@@ -11,14 +13,13 @@ from hypothesis import strategies as st
 
 import netselect.generators as generators
 from netselect import (
-    FeatureKind,
     GridPrior,
     PointPrior,
     PowerLaw,
     Sbm,
     build_graph,
+    connected_components,
     count_triangles,
-    extract_feature,
     generate_from_degrees,
     generate_sbm,
     induced_subgraph,
@@ -29,6 +30,7 @@ from netselect import (
     toggle_edge,
     write_edge_list,
 )
+from netselect.features import _closed_neighbourhoods
 from netselect.generators import _pair_stubs, _sample_pair_graph, _snapshot
 from netselect.graph import Graph
 from netselect.inference import fix_grid_point
@@ -56,7 +58,7 @@ def oracle_sets(n, edges):
 def assert_matches_oracle(g, sets):
     n = len(sets)
     assert g.node_count == n
-    ptr, closed = g._closed_neighbourhoods()
+    ptr, closed = _closed_neighbourhoods(g)
     assert len(ptr) == n + 1 and ptr[0] == 0
     for v in range(n):
         row = closed[ptr[v]:ptr[v + 1]].tolist()
@@ -76,7 +78,7 @@ def test_build_graph_matches_set_oracle(case):
     n, edges = case
     g = build_graph(n, edges)
     assert_matches_oracle(g, oracle_sets(n, edges))
-    for a in (g.lo, g.hi, g.degrees, *g._closed_neighbourhoods()):
+    for a in (g.lo, g.hi, g.degrees):
         assert not a.flags.writeable
     assert read_edge_list(write_edge_list(g)) == g
 
@@ -89,13 +91,38 @@ def test_closed_and_open_rows_match_the_edge_list(n):
     edges = [(u, v) for u, v in pairs if u != v]
     sets = oracle_sets(n, edges)
     g = build_graph(n, edges)
-    ptr, closed = g._closed_neighbourhoods()
-    assert len(ptr) == n + 1 and ptr[0] == 0 and not closed.flags.writeable
+    ptr, closed = _closed_neighbourhoods(g)
+    assert len(ptr) == n + 1 and ptr[0] == 0
     assert any(not s for s in sets) or n == 0
     for v in range(n):
         assert closed[ptr[v]:ptr[v + 1]].tolist() == sorted(sets[v] | {v})
         assert [g.has_edge(v, u) for u in range(n)] == [u in sets[v] for u in range(n)]
-    assert g._closed_neighbourhoods()[1] is closed  # built once, then kept
+
+
+def union_find_components(n, edges):
+    """Components by union-find: sorted node lists, ordered by smallest member."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(root(v), []).append(v)
+    return sorted(groups.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists(max_n=40))
+def test_connected_components_match_union_find(case):
+    """Isolated nodes are components of their own; a graph of no nodes has none."""
+    n, edges = case
+    assert connected_components(build_graph(n, edges)) == union_find_components(n, edges)
 
 
 @settings(max_examples=100, deadline=None)
@@ -340,22 +367,13 @@ def test_power_law_draws_pair_stubs_as_generate_from_degrees(n, alpha, d_min, se
     assert sample_graph(spec, np.random.default_rng(seed)) == g
 
 
-@pytest.mark.parametrize("token", ["power_law_exponent", "degree_entropy", "link_density"])
-def test_degree_features_leave_the_csr_unbuilt(token):
-    g = sample_graph(Sbm(60, 3, p_in=0.3, p_out=0.05), np.random.default_rng(1))
-    extract_feature(g, FeatureKind(token))
-    assert g._csr is None
-    assert g._closed_neighbourhoods()[0][-1] == 2 * g.edge_count + g.node_count
-    assert g._csr is not None
-
-
 def test_pickle_carries_only_the_edge_arrays_and_every_array_is_read_only():
     g = sample_graph(Sbm(40, 2, p_in=0.4, p_out=0.05), np.random.default_rng(2))
-    count_triangles(g)  # builds the CSR and memoizes the count
+    count_triangles(g)  # memoizes the count
     assert g.__reduce__() == (type(g), (g.node_count, g.lo, g.hi))
     copy = pickle.loads(pickle.dumps(g))
-    assert copy == g and copy._csr is None and copy._triangles is None
+    assert copy == g and copy._triangles is None
     assert count_triangles(copy) == count_triangles(g)
     for graph in (g, copy):
-        for a in (graph.lo, graph.hi, graph.degrees, *graph._closed_neighbourhoods()):
+        for a in (graph.lo, graph.hi, graph.degrees):
             assert not a.flags.writeable

@@ -262,8 +262,12 @@ def test_combined_ratio_rescale_invariance():
 
 
 def test_combined_ratio_degenerate():
+    """Only two zero losses are degenerate: a zero el_2 against a positive
+    el_1 favours model_2 without bound, and a zero el_1 favours model_1."""
     with pytest.raises(DegenerateRatio):
-        combined_loss_ratio([(1.0, 0.0)])
+        combined_loss_ratio([(0.0, 0.0)])
+    assert combined_loss_ratio([(1.0, 0.0)]) == math.inf
+    assert combined_loss_ratio([(0.0, 1.0), (2.0, 1.0)]) == 1.0
 
 
 def test_decide_rule():
@@ -644,11 +648,12 @@ def test_report_json_round_trip():
     report = compare_models(data, spec1, spec2,
                             [FeatureKind("triangle_count")],
                             LossKind("quadratic"), n_samples=30, master_seed=2)
-    infinite = replace(report, features=(replace(report.features[0], bayes_factor=math.inf),))
-    for original, bayes_factor in ((report, report.features[0].bayes_factor),
-                                   (infinite, "inf")):
-        obj = json.loads(json.dumps(report_to_json(original)))
-        assert obj["features"][0]["bayes_factor"] == bayes_factor
+    infinite = replace(report, features=(replace(report.features[0], bayes_factor=math.inf),),
+                       combined_ratio=math.inf)
+    finite = (report.features[0].bayes_factor, report.combined_ratio)
+    for original, written in ((report, finite), (infinite, ("inf", "inf"))):
+        obj = json.loads(json.dumps(report_to_json(original), allow_nan=False))
+        assert (obj["features"][0]["bayes_factor"], obj["combined_ratio"]) == written
         assert report_from_json(obj) == original
 
 

@@ -5,13 +5,18 @@
 * no top-level function or class name is defined in two modules, so no
   helper is defined twice;
 * every module attribute that ``perfbench/spans.py`` wraps still resolves, so
-  a deletion in ``src`` cannot break a traced benchmark run unnoticed.
+  a deletion in ``src`` cannot break a traced benchmark run unnoticed;
+* ``Graph`` holds only its edge arrays and what is derived from them at once,
+  so a kernel's structure is not cached on every graph unnoticed.
 """
 
 import ast
+import dataclasses
 import importlib.util
 from collections import Counter, defaultdict
 from pathlib import Path
+
+from netselect.graph import Graph
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "netselect"
@@ -77,3 +82,10 @@ def test_every_name_the_benchmark_tracer_wraps_resolves_and_is_restored():
     finally:
         tracer.uninstall()
     assert all(getattr(module, attr) is real for module, attr, real in wrapped)
+
+
+def test_graph_holds_only_its_edge_arrays_degrees_and_triangle_memo():
+    """A kernel builds its neighbourhood structure from the edge arrays and
+    drops it; caching one on ``Graph`` again is a change to this list."""
+    assert [f.name for f in dataclasses.fields(Graph)] == [
+        "node_count", "lo", "hi", "degrees", "edge_count", "_triangles"]
