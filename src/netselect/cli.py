@@ -39,6 +39,7 @@ from .inference import (  # noqa: F401
     DiscretePmf,
     FeatureSamples,
     LossKind,
+    _csv,
     _json_number,
     compare_models,
     estimate_density,
@@ -63,11 +64,11 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    if out is None:
+def _write_output(text: str, path: Optional[str]) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -109,8 +110,7 @@ def load_graph_file(path: str) -> Graph:
     graph = build_graph(len(labels), [(mapping[u], mapping[v]) for _, u, v in lines])
     sidecar = path + ".mapping.json"
     try:
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(mapping))
+        _write_output(_dump_json(mapping), sidecar)
     except OSError as exc:  # graph is still usable without the sidecar
         print(f"warning: could not write {sidecar}: {exc}", file=sys.stderr)
     return graph
@@ -185,12 +185,9 @@ def cmd_generate(opts: dict) -> int:
     }
     for i, g in enumerate(graphs):
         name = f"sample_{i:05d}.tsv"
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(write_edge_list(g))
-        manifest["samples"].append(
-            {"index": i, "seed": derive_seed(seed, i), "path": name})
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(manifest))
+        _write_output(write_edge_list(g), os.path.join(out_dir, name))
+        manifest["samples"].append({"index": i, "seed": derive_seed(seed, i), "path": name})
+    _write_output(_dump_json(manifest), os.path.join(out_dir, "manifest.json"))
     return 0
 
 
@@ -201,19 +198,16 @@ def cmd_features(opts: dict) -> int:
     kinds = _parse_features(opts.get("features"))
     rows = []
     for kind in kinds:
+        row = {"kind": kind.name, "value": None, "discrete": kind.is_discrete}
         try:
-            value = extract_feature(graph, kind)
-            rows.append({"kind": kind.name, "value": value,
-                         "discrete": kind.is_discrete})
+            row["value"] = extract_feature(graph, kind)
         except UndefinedFeature as exc:
-            rows.append({"kind": kind.name, "value": None,
-                         "discrete": kind.is_discrete, "error": str(exc)})
+            row["error"] = str(exc)
+        rows.append(row)
     if opts.get("format") == "csv":
-        lines = ["kind,value,discrete"]
-        for row in rows:
-            value = "NA" if row["value"] is None else repr(row["value"])
-            lines.append(f"{row['kind']},{value},{row['discrete']}")
-        text = "\n".join(lines) + "\n"
+        text = _csv([["kind", "value", "discrete"],
+                     *([row["kind"], "NA" if row["value"] is None else row["value"],
+                        row["discrete"]] for row in rows)])
     else:
         text = _dump_json({"data": opts["data"], "rows": rows})
     _write_output(text, opts.get("out"))
@@ -257,23 +251,17 @@ def _write_plot_data(plot_dir: str, report, kinds) -> None:
             base = os.path.join(plot_dir, f"{kind.name}_{model_id}")
             if isinstance(density, DiscretePmf):
                 xs = sorted(density.counts)
-                dens = [density.evaluate(x) for x in xs]
                 hist = [(x, density.counts[x]) for x in xs]
             else:
                 h = density.bandwidth
                 lo = float(samples.values.min()) - 3 * h
                 hi = float(samples.values.max()) + 3 * h
                 xs = np.linspace(lo, hi, 256).tolist()
-                dens = [density.evaluate(x) for x in xs]
                 counts, edges = np.histogram(samples.values, bins=30)
-                hist = [((edges[i] + edges[i + 1]) / 2, int(c))
-                        for i, c in enumerate(counts)]
-            with open(base + "_density.csv", "w", encoding="utf-8") as fh:
-                fh.write("x,density\n")
-                fh.writelines(f"{x!r},{d!r}\n" for x, d in zip(xs, dens))
-            with open(base + "_hist.csv", "w", encoding="utf-8") as fh:
-                fh.write("x,count\n")
-                fh.writelines(f"{x!r},{c!r}\n" for x, c in hist)
+                hist = zip(((edges[:-1] + edges[1:]) / 2).tolist(), counts.tolist())
+            dens = [density.evaluate(x) for x in xs]
+            _write_output(_csv([["x", "density"], *zip(xs, dens)]), base + "_density.csv")
+            _write_output(_csv([["x", "count"], *hist]), base + "_hist.csv")
 
 
 def cmd_elicit(opts: dict) -> int:
@@ -312,14 +300,11 @@ def cmd_elicit(opts: dict) -> int:
                            "per_model": probs, "ratios": ratios})
 
     if opts.get("format") == "csv":
-        lines = ["feature,lo,hi,model,probability,std_error"]
-        for row in range_rows:
-            for model_id in ids:
-                cell = row["per_model"][model_id]
-                lines.append(",".join([
-                    row["feature"], repr(row["lo"]), repr(row["hi"]), model_id,
-                    repr(cell["probability"]), repr(cell["std_error"])]))
-        text = "\n".join(lines) + "\n"
+        text = _csv([["feature", "lo", "hi", "model", "probability", "std_error"],
+                     *([row["feature"], row["lo"], row["hi"], model_id,
+                        row["per_model"][model_id]["probability"],
+                        row["per_model"][model_id]["std_error"]]
+                       for row in range_rows for model_id in ids)])
     else:
         text = _dump_json({"n_samples": n_samples, "master_seed": seed,
                            "models": ids, "ranges": range_rows})
@@ -333,10 +318,8 @@ def cmd_simulate(opts: dict) -> int:
         raise InvalidSpec("simulate needs --config <study.json>")
     study = study_mod.parse_study_config({key: opts.get(key) for key in study_mod._STUDY})
     results = study_mod.run_study(study, workers=opts.get("threads", 1))
-    if opts.get("format") == "json":
-        text = _dump_json(study_mod.study_results_json(study, results))
-    else:
-        text = study_mod.study_results_csv(study, results)
+    text = (_dump_json(study_mod.study_results_json(study, results))
+            if opts.get("format") == "json" else study_mod.study_results_csv(study, results))
     _write_output(text, opts.get("out"))
     return 0
 

@@ -649,8 +649,15 @@ def _json_number(x: float):
     return "inf" if math.isinf(x) else x
 
 
-def _parse_number(x) -> float:
-    return math.inf if x == "inf" else float(x)
+def _parse_number(value, name: str) -> float:
+    """The number ``_json_number`` wrote: "inf", or a JSON number (InvalidSpec otherwise)."""
+    return math.inf if value == "inf" else _strict_float(value, name)
+
+
+def _csv(rows) -> str:
+    """One ","-joined line per row; a str cell as it is, any other by repr."""
+    return "".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n"
+                   for row in rows)
 
 
 def report_to_json(report: ComparisonReport) -> dict:
@@ -677,11 +684,12 @@ def report_to_json(report: ComparisonReport) -> dict:
 
 def report_from_json(obj: dict) -> ComparisonReport:
     """The report ``report_to_json`` wrote. Its counts and ratios must be JSON
-    numbers of their type, or "inf" for an infinite ``combined_ratio`` (else
-    InvalidSpec); unknown keys are ignored, since report keys are additive."""
+    numbers of their type, or "inf" for an infinite ratio (else InvalidSpec);
+    unknown keys are ignored, since report keys are additive."""
     features = tuple(
         FeatureComparison(kind=FeatureKind.from_json({key: fc.get(key) for key in _KIND_FIELDS}),
-                          **{attr: _parse_number(fc[key]) for key, attr in _FEATURE_KEYS})
+                          **{attr: _parse_number(fc[key], f"report feature '{key}'")
+                             for key, attr in _FEATURE_KEYS})
         for fc in obj["features"]
     )
     return ComparisonReport(
@@ -691,10 +699,9 @@ def report_from_json(obj: dict) -> ComparisonReport:
         master_seed=_strict_int(obj["master_seed"], "report 'master_seed'"),
         loss=LossKind.from_json(obj.get("loss", "quadratic")),
         features=features,
-        combined_ratio=math.inf if obj["combined_ratio"] == "inf"
-        else _strict_float(obj["combined_ratio"], "report 'combined_ratio'"),
+        combined_ratio=_parse_number(obj["combined_ratio"], "report 'combined_ratio'"),
         model_priors=tuple(_strict_float(p, "report 'model_priors'") for p in obj["model_priors"]),
-        posterior_odds=_parse_number(obj["posterior_odds"]),
+        posterior_odds=_parse_number(obj["posterior_odds"], "report 'posterior_odds'"),
         decision=Decision(obj["decision"]),
         decision_rule=obj["decision_rule"],
         block_count_method=obj["block_count_method"],
@@ -703,11 +710,9 @@ def report_from_json(obj: dict) -> ComparisonReport:
 
 def report_features_csv(report: ComparisonReport) -> str:
     """The per-feature table as CSV."""
-    lines = [",".join(["kind", *(key for key, _ in _FEATURE_KEYS)])]
-    for fc in report.features:
-        lines.append(",".join([fc.kind.name,
-                               *(repr(getattr(fc, attr)) for _, attr in _FEATURE_KEYS)]))
-    return "\n".join(lines) + "\n"
+    return _csv([["kind", *(key for key, _ in _FEATURE_KEYS)],
+                 *([fc.kind.name, *(getattr(fc, attr) for _, attr in _FEATURE_KEYS)]
+                   for fc in report.features)])
 
 
 def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,

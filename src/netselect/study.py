@@ -25,7 +25,9 @@ from .inference import (  # noqa: F401
     FeatureSamples,
     LossKind,
     ParamPosterior,
+    _csv,
     _json_number,
+    _loss_ratio,
     estimate_density,
     evidence,
     expected_loss,
@@ -196,11 +198,10 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
     other = next(i for i in ids if i != row.data_id)
     results = []
     for loss in row.losses:
-        ratios = []
-        for kind, observed in observations:
-            el_wrong = family_loss(other, kind, observed, loss)
-            el_right = family_loss(row.data_id, kind, observed, loss)
-            ratios.append(float("inf") if el_right == 0 else el_wrong / el_right)
+        ratios = [_loss_ratio(family_loss(other, kind, observed, loss),
+                              family_loss(row.data_id, kind, observed, loss),
+                              f"for {kind.name} in study row {row_index}")
+                  for kind, observed in observations]
         results.append(StudyRowResult(
             data_id=row.data_id,
             loss=loss,
@@ -221,19 +222,10 @@ def run_study(config: StudyConfig, workers: int = 1) -> list[StudyRowResult]:
 
 def study_results_csv(config: StudyConfig, results: Sequence[StudyRowResult]) -> str:
     """Table-shaped export: one line per (data setup, loss kind)."""
-    header = ["real_param", "loss", "features", "loss_ratio"]
-    header.extend(w.label for w in config.windows)
-    lines = [",".join(header)]
-    for res in results:
-        cells = [
-            res.data_id,
-            res.loss.kind,
-            "+".join(k.name for k in res.features),
-            repr(res.loss_ratio),
-        ]
-        cells.extend(repr(p) for p in res.window_probabilities)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv([["real_param", "loss", "features", "loss_ratio",
+                  *(w.label for w in config.windows)],
+                 *([res.data_id, res.loss.kind, "+".join(k.name for k in res.features),
+                    res.loss_ratio, *res.window_probabilities] for res in results)])
 
 
 def study_results_json(config: StudyConfig, results: Sequence[StudyRowResult]) -> dict:

@@ -618,6 +618,24 @@ def test_simulate_json_is_strict_when_a_loss_ratio_is_infinite(tmp_path, capsys)
     assert [row["loss_ratio"] for row in rows] == ["inf", "inf"]
 
 
+def test_simulate_with_both_losses_zero_is_indeterminate(tmp_path, capsys):
+    # Every draw of both families, and the data, has one block (p_in = p_out),
+    # so both expected block_count losses are zero and neither family is
+    # favoured: the study row exits 3, as compare does, instead of reading inf.
+    sbm = {"type": "sbm", "n": 20, "p_in": 0.9, "p_out": 0.9}
+    cfg = write_json(tmp_path / "study.json", {
+        "n_samples": 20, "seed": 1,
+        "candidates": [
+            {"id": "alpha", "spec": {"type": "powerlaw", "n": 20,
+                                     "alpha": {"grid": {"values": [3.5]}}}},
+            {"id": "k", "spec": dict(sbm, k={"grid": {"values": [2]}})}],
+        "rows": [{"data": {"id": "k", "spec": dict(sbm, k=2)}, "features": ["block_count"]}],
+    })
+    assert run_cli(["simulate", "--config", cfg]) == 3
+    assert ("both expected losses are zero for block_count in study row 0"
+            in capsys.readouterr().err)
+
+
 def test_every_command_is_byte_equal_at_one_and_two_threads(tmp_path):
     data = make_data_graph(tmp_path, {"type": "sbm", "n": 30, "k": 3,
                                       "p_in": 0.4, "p_out": 0.05})

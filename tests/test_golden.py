@@ -6,7 +6,10 @@ around the one-block bound (``edge_lists_large.json``), ``compare`` JSON
 reports with the models in both orders, the ``compare --plot-data`` CSVs and
 a ``simulate`` CSV table. Each test
 regenerates its output and compares bytes, so any change to RNG consumption,
-graph construction or feature values shows up here. To re-record after a deliberate output change, run
+graph construction or feature values shows up here. Every CSV is written by
+``inference._csv``: a number cell is its ``repr`` (plain Python numbers
+only, which ``test_every_number_in_a_csv_output_is_a_plain_float`` checks
+across all CSV outputs). To re-record after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -234,6 +237,47 @@ def test_simulate_table_matches_golden_at_one_and_two_workers(tmp_path):
     golden = (GOLDEN / "simulate.csv").read_bytes()
     assert simulate_table(tmp_path, 1) == golden
     assert simulate_table(tmp_path, 2) == golden
+
+
+def _non_numbers(text: str, text_columns: tuple = ()) -> list:
+    """(column, cell) of every cell below the header, outside ``text_columns``,
+    that ``float()`` cannot read."""
+    header, *rows = (line.split(",") for line in text.splitlines())
+    bad = []
+    for row in rows:
+        for column, cell in zip(header, row, strict=True):
+            try:
+                float(cell)
+            except ValueError:
+                if column not in text_columns:
+                    bad.append((column, cell))
+    return bad
+
+
+def test_every_number_in_a_csv_output_is_a_plain_float(tmp_path):
+    """The 12 plot CSVs, and every numeric column of the ``features``,
+    ``compare``, ``elicit`` and ``simulate`` CSV tables, hold numbers that
+    ``float()`` reads (``inf`` included), never a numpy scalar's repr."""
+    inputs = _compare_inputs(tmp_path)
+    data, first, second = inputs[1::2]
+    out = {name: tmp_path / f"{name}.csv" for name in ("features", "compare", "elicit")}
+    plots = tmp_path / "plots"
+    assert main(["features", "--data", data, "--features", ALL_FEATURES,
+                 "--format", "csv", "--out", str(out["features"])]) == 0
+    assert main(["compare", *inputs, "--features", "block_count,global_clustering,degree_entropy",
+                 "--samples", "30", "--seed", "3", "--format", "csv",
+                 "--out", str(out["compare"]), "--plot-data", str(plots)]) == 0
+    assert main(["elicit", "--model", first, "--model2", second,
+                 "--range", "link_density:0.1:0.2", "--samples", "20", "--seed", "3",
+                 "--format", "csv", "--out", str(out["elicit"])]) == 0
+    tables = {f.name: (f.read_text(), ()) for f in sorted(plots.iterdir())}
+    assert len(tables) == 12
+    tables["features"] = out["features"].read_text(), ("kind", "discrete")
+    tables["compare"] = out["compare"].read_text(), ("kind",)
+    tables["elicit"] = out["elicit"].read_text(), ("feature", "model")
+    tables["simulate"] = simulate_table(tmp_path, 1).decode(), ("real_param", "loss", "features")
+    assert {name: _non_numbers(text, columns)
+            for name, (text, columns) in tables.items()} == {name: [] for name in tables}
 
 
 if __name__ == "__main__":  # re-record the golden files

@@ -659,9 +659,12 @@ def test_report_json_round_trip():
 
 @pytest.mark.parametrize("key, value", [
     ("n_samples", 2.7), ("master_seed", True), ("combined_ratio", "1.5"),
-    ("model_priors", [0.5, "0.5"]), ("n_samples", "30"),
-], ids=["float_count", "bool_seed", "string_ratio", "string_prior", "string_count"])
+    ("model_priors", [0.5, "0.5"]), ("n_samples", "30"), ("posterior_odds", "1.5"),
+    ("el_1", True),
+], ids=["float_count", "bool_seed", "string_ratio", "string_prior", "string_count",
+        "string_odds", "bool_feature_loss"])
 def test_report_from_json_refuses_a_number_of_the_wrong_type(key, value):
+    """A top-level key, or a per-feature one (``el_1``) set on the first feature."""
     report = compare_models(generate_er(10, 0.25, np.random.default_rng(8)),
                             ErdosRenyi(10, PointPrior(0.2)), ErdosRenyi(10, PointPrior(0.6)),
                             [FeatureKind("triangle_count")], LossKind("quadratic"),
@@ -669,7 +672,7 @@ def test_report_from_json_refuses_a_number_of_the_wrong_type(key, value):
     obj = json.loads(json.dumps(report_to_json(report)))
     obj["future_key"] = {"added": 1}  # report keys are additive: an unknown one is read past
     assert report_from_json(obj) == report
-    obj[key] = value
+    (obj if key in obj else obj["features"][0])[key] = value
     with pytest.raises(InvalidSpec, match=key):
         report_from_json(obj)
 

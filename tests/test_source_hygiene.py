@@ -7,7 +7,9 @@
 * every module attribute that ``perfbench/spans.py`` wraps still resolves, so
   a deletion in ``src`` cannot break a traced benchmark run unnoticed;
 * ``Graph`` holds only its edge arrays and what is derived from them at once,
-  so a kernel's structure is not cached on every graph unnoticed.
+  so a kernel's structure is not cached on every graph unnoticed;
+* ``cli._write_output`` is the only function that opens a file for writing,
+  so every output file is written one way.
 """
 
 import ast
@@ -89,3 +91,23 @@ def test_graph_holds_only_its_edge_arrays_degrees_and_triangle_memo():
     drops it; caching one on ``Graph`` again is a change to this list."""
     assert [f.name for f in dataclasses.fields(Graph)] == [
         "node_count", "lo", "hi", "degrees", "edge_count", "_triangles"]
+
+
+def _write_opens(tree: ast.AST) -> list:
+    """The ``open(...)`` calls under ``tree`` whose mode, positional or keyword,
+    holds "w", "a" or "x"; a mode that is not a literal counts as writing."""
+    def writes(call):
+        modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax")
+                   for m in modes)
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "open" and writes(node)]
+
+
+def test_only_write_output_opens_a_file_for_writing():
+    trees = _trees()
+    [writer] = [node for node in trees["cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_write_output"]
+    sites = [(mod, call.lineno) for mod, tree in trees.items() for call in _write_opens(tree)]
+    assert sites == [("cli.py", call.lineno) for call in _write_opens(writer)]
+    assert len(sites) == 1
