@@ -3,8 +3,9 @@
 Five workflows: ``generate`` (prior-predictive edge lists), ``features``
 (feature table for a graph file), ``compare`` (two-model comparison report),
 ``elicit`` (range probabilities for prior calibration), and ``simulate``
-(grid-study table). Exit codes: 0 success, 2 configuration or input error,
-3 statistically indeterminate result.
+(grid-study table). Exit codes: 0 success, 2 configuration or input error
+(an input too large for memory included), 3 statistically indeterminate
+result.
 """
 
 from __future__ import annotations
@@ -81,10 +82,16 @@ def _load_model_spec(source) -> ModelSpec:
     return parse_model_spec(_load_json(source) if isinstance(source, str) else source)
 
 
-def _model_label(source, fallback: str) -> str:
-    if isinstance(source, str):
-        return os.path.splitext(os.path.basename(source))[0]
-    return fallback
+def _model_ids(sources) -> list[str]:
+    """Each model's id: its spec file's base name (``model_<i>`` for an
+    inline spec), and for ids that several models share, the id with the
+    model's 1-based position as a suffix (``m_1``, ``m_2``), until all differ."""
+    ids = [os.path.splitext(os.path.basename(src))[0] if isinstance(src, str)
+           else f"model_{i + 1}" for i, src in enumerate(sources)]
+    while len(set(ids)) < len(ids):
+        shared = {x for x in ids if ids.count(x) > 1}
+        ids = [f"{x}_{i + 1}" if x in shared else x for i, x in enumerate(ids)]
+    return ids
 
 
 def load_graph_file(path: str) -> Graph:
@@ -229,8 +236,7 @@ def cmd_compare(opts: dict) -> int:
     report = compare_models(
         graph, spec1, spec2, kinds, loss, opts.get("samples", DEFAULT_SAMPLES),
         opts.get("seed", 0), workers=opts.get("threads", 1),
-        model_ids=(_model_label(opts["model"], "model_1"),
-                   _model_label(opts["model2"], "model_2")),
+        model_ids=tuple(_model_ids((opts["model"], opts["model2"]))),
         model_priors=priors)
 
     text = (report_features_csv(report) if opts.get("format") == "csv"
@@ -273,7 +279,7 @@ def cmd_elicit(opts: dict) -> int:
     n_samples = opts.get("samples", DEFAULT_SAMPLES)
     seed = opts.get("seed", 0)
 
-    ids = [_model_label(src, f"model_{i + 1}") for i, src in enumerate(sources)]
+    ids = _model_ids(sources)
     specs = [_apply_grid_flags(_load_model_spec(src), opts["grid"] if i == 0 else None)
              for i, src in enumerate(sources)]
 
@@ -421,6 +427,9 @@ def main(argv=None) -> int:
         return 3
     except (NetselectError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a pool worker's arrives here through pool_map too
+        print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

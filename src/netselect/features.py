@@ -260,128 +260,170 @@ def estimate_block_count(g: Graph, k_max: int) -> int:
 
 #: Rows gathered per numpy call in count_triangles (twice) and, or one closed
 #: row if that is longer, per neighbour-table block of _eccentricities, which
-#: bounds their temporaries to about 16 * _EDGE_CHUNK * ceil(n / 64) bytes on
-#: dense graphs; _packed_closed packs _EDGE_CHUNK // 8 rows per boolean mask.
+#: bounds their temporaries to about 16 * _EDGE_CHUNK * ceil(k / 64) bytes on
+#: dense graphs of k nodes of degree > 0; _packed_closed packs
+#: _EDGE_CHUNK // 8 rows per boolean mask.
 _EDGE_CHUNK = 1 << 14
 
-def _packed_closed(g: Graph) -> np.ndarray:
-    """n x ceil(n / 64) uint64 bitset whose row v has bit u set iff u is in
-    {v} | N(v), set from the edge arrays through a dense boolean mask in blocks
-    of _EDGE_CHUNK // 8 rows (one block up to that many nodes), so a block's
-    mask is no larger than one gather of _EDGE_CHUNK packed rows."""
-    n = g.node_count
-    width = 64 * -(-n // 64)
+#: word count W -> the read-only identity bitsets of 64 * W positions (row i
+#: holds bit i), kept only while 64 * W * W <= _EDGE_CHUNK (0.8 MB in all).
+_IDENTITY_CACHE: dict = {}
+
+
+def _identity(k: int) -> np.ndarray:
+    """k x ceil(k / 64) uint64 rows, row i holding only bit i: the rows that
+    level 1 of the search ORs, from the memo when their word count is small."""
+    w = -(-k // 64)
+    rows = _IDENTITY_CACHE.get(w)
+    if rows is None:
+        i = np.arange(64 * w)
+        rows = np.zeros((64 * w, w), dtype=np.uint64)
+        rows[i, i >> 6] = np.uint64(1) << (i & 63).astype(np.uint64)
+        if 64 * w * w <= _EDGE_CHUNK:
+            rows.flags.writeable = False
+            _IDENTITY_CACHE[w] = rows
+    return rows[:k]
+
+
+def _positions(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nodes, lo, hi): the nodes of degree > 0 in ascending id, and the edge
+    arrays with each end replaced by its position in ``nodes``, still
+    row-major. A node of degree 0 is in no edge, so it gets no position."""
+    nodes = g.degrees.nonzero()[0]
+    if len(nodes) == g.node_count:
+        return nodes, g.lo, g.hi
+    pos = np.empty(g.node_count, dtype=np.int64)
+    pos[nodes] = np.arange(len(nodes))
+    return nodes, pos[g.lo], pos[g.hi]
+
+
+def _packed_closed(k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """k x ceil(k / 64) uint64 bitset whose row v has bit u set iff u is in
+    {v} | N(v), for the edges (lo, hi) of positions 0..k - 1, set through a
+    dense boolean mask in blocks of _EDGE_CHUNK // 8 rows (one block up to
+    that many positions), so a block's mask is no larger than one gather of
+    _EDGE_CHUNK packed rows."""
+    width = 64 * -(-k // 64)
     step = max(1, _EDGE_CHUNK // 8)
-    bits = np.empty((n, width // 64), dtype=np.uint64)
-    keys = np.concatenate((g.lo * width + g.hi, g.hi * width + g.lo))  # flat bit of each end
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        mask = np.zeros((hi - lo) * width, dtype=bool)
-        mask[lo::width + 1] = True  # row v holds v
-        inside = (keys >= lo * width) & (keys < hi * width) if hi - lo < n else slice(None)
-        mask[keys[inside] - lo * width] = True
-        bits[lo:hi] = np.packbits(mask, bitorder="little").view(np.uint64).reshape(hi - lo, -1)
+    bits = np.empty((k, width // 64), dtype=np.uint64)
+    keys = np.concatenate((lo * width + hi, hi * width + lo))  # flat bit of each end
+    for first in range(0, k, step):
+        last = min(first + step, k)
+        mask = np.zeros((last - first) * width, dtype=bool)
+        mask[first::width + 1] = True  # row v holds v
+        inside = (keys >= first * width) & (keys < last * width) if last - first < k else slice(None)
+        mask[keys[inside] - first * width] = True
+        bits[first:last] = np.packbits(mask, bitorder="little").view(np.uint64).reshape(last - first, -1)
         del mask  # free it before the next block's mask is allocated
     return bits
 
 
-def _remember_triangles(g: Graph, bits: np.ndarray) -> None:
-    """Memoize the triangle count. For an edge u < v, N[u] & N[v] holds u, v and
-    their common neighbours, so the popcounts sum to 3 * triangles + 2m."""
+def _remember_triangles(g: Graph, bits: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Memoize the triangle count from the closed rows ``bits`` of the
+    positions that the edges (lo, hi) join. For an edge {u, v}, N[u] & N[v]
+    holds u, v and their common neighbours, so the popcounts sum to
+    3 * triangles + 2m."""
     total = 0
-    for lo in range(0, g.edge_count, _EDGE_CHUNK):
-        hi = lo + _EDGE_CHUNK
-        common = np.take(bits, g.lo[lo:hi], axis=0)
-        common &= np.take(bits, g.hi[lo:hi], axis=0)
+    for first in range(0, len(lo), _EDGE_CHUNK):
+        common = bits.take(lo[first:first + _EDGE_CHUNK], axis=0)
+        common &= bits.take(hi[first:first + _EDGE_CHUNK], axis=0)
         total += int(np.bitwise_count(common).sum())
-    object.__setattr__(g, "_triangles", (total - 2 * g.edge_count) // 3)
+    object.__setattr__(g, "_triangles", (total - 2 * len(lo)) // 3)
 
 
 def count_triangles(g: Graph) -> int:
     """Number of node triples inducing a triangle (each counted once), kept on
-    the graph for clustering; ``diameter`` keeps it too, from its first level."""
+    the graph for clustering; ``diameter`` keeps it too, from its first level.
+    Only the nodes of degree > 0 get a row: an isolated node is in no triangle."""
     if g._triangles is None:
-        _remember_triangles(g, _packed_closed(g))
+        nodes, lo, hi = _positions(g)
+        _remember_triangles(g, _packed_closed(len(nodes), lo, hi), lo, hi)
     return g._triangles
 
 
-def _closed_neighbourhoods(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, closed): row v, closed[ptr[v]:ptr[v + 1]], is {v} | N(v) ascending,
-    as sorting the (hi, lo) edges, then (v, v), then the (lo, hi) edges stably
-    by source puts smaller neighbours, v, larger ones."""
-    n = g.node_count
-    nodes = np.arange(n)
-    src = np.concatenate((g.hi, nodes, g.lo))
-    dst = np.concatenate((g.lo, nodes, g.hi))
-    # a stable sort of 16-bit keys is a radix sort
-    keys = src.astype(np.uint16) if n <= 1 << 16 else src
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(g.degrees + 1, out=ptr[1:])
-    return ptr, dst[np.argsort(keys, kind="stable")]
+def _neighbour_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """(nodes, lo, hi, blocks): the search's positions, the edge arrays in
+    positions and, per block of consecutive positions first..last - 1, the
+    padded neighbour table ``(first, last, table)`` (the SELL-C-sigma layout
+    of Kreutzer et al., SIAM J. Sci. Comput. 2014).
 
-
-def _neighbour_tables(g: Graph) -> tuple[np.ndarray, list]:
-    """(order, blocks): the search's node order and, per block of consecutive
-    positions lo..hi - 1 in it, the padded neighbour table ``(lo, hi, table)``
-    (the SELL-C-sigma layout of Kreutzer et al., SIAM J. Sci. Comput. 2014).
-
-    ``table[j, i]`` is the position of the j-th member of {v} | N(v), v the
-    node at position lo + i, and of its last member for j past the row's end,
-    up to the block's widest row (ORing a row twice changes nothing). When
-    n times the widest row fits _EDGE_CHUNK entries there is one block in
-    node order; otherwise the order is by ascending row size and each block
-    takes as many rows as fit max(_EDGE_CHUNK, one row) entries, so a hub
-    pads no other row and a block's gather stays bounded.
+    The positions are the nodes of degree > 0. ``table[0, i]`` is position
+    first + i itself, ``table[1:deg + 1, i]`` are its neighbours, and the rows
+    past them, up to the block's widest, hold the position itself again
+    (ORing a row twice changes nothing). When k positions times the widest
+    column fit _EDGE_CHUNK entries there is one block in ascending node id;
+    otherwise the order is by ascending degree and each block takes as many
+    columns as fit max(_EDGE_CHUNK, one column) entries, so a hub pads no
+    other column and a block's gather stays bounded.
     """
-    n = g.node_count
-    ptr, closed = _closed_neighbourhoods(g)
-    starts, sizes = ptr[:-1], np.diff(ptr)
-    if n * int(sizes.max()) <= _EDGE_CHUNK:
-        order, cuts = np.arange(n), [0, n]
+    nodes, lo, hi = _positions(g)
+    k = len(nodes)
+    deg = g.degrees[nodes]
+    widest = int(deg.max(initial=0)) + 1
+    if k * widest <= _EDGE_CHUNK:
+        cuts = [(0, k, widest)] if k else []
     else:
-        order = np.argsort(sizes, kind="stable")
-        starts, sizes = starts[order], sizes[order]
-        closed = np.argsort(order)[closed]  # members as positions in the order
-        cuts = [0]
-        while cuts[-1] < n:  # rows lo..hi - 1 fit when (hi - lo) * sizes[hi - 1] does
-            rows = sizes[cuts[-1]:cuts[-1] + _EDGE_CHUNK]
-            fit = np.searchsorted(np.arange(1, len(rows) + 1) * rows, _EDGE_CHUNK, "right")
-            cuts.append(cuts[-1] + max(1, int(fit)))
+        by_deg = np.argsort(deg, kind="stable")
+        nodes, deg = nodes[by_deg], deg[by_deg]
+        position = np.empty(k, dtype=np.int64)
+        position[by_deg] = np.arange(k)
+        lo, hi = position[lo], position[hi]
+        cuts, first = [], 0
+        while first < k:  # columns first..last - 1 fit when (last - first) * (deg[last - 1] + 1) does
+            sizes = deg[first:first + _EDGE_CHUNK] + 1
+            last = first + max(1, int(np.searchsorted(
+                np.arange(1, len(sizes) + 1) * sizes, _EDGE_CHUNK, "right")))
+            cuts.append((first, last, int(deg[last - 1]) + 1))
+            first = last
+    src = np.concatenate((lo, hi))
+    keys = src.astype(np.uint16) if k <= 1 << 16 else src  # a stable sort of 16-bit keys is a radix sort
+    by_src = keys.argsort(kind="stable")
+    src, dst = src[by_src], np.concatenate((hi, lo))[by_src]
+    starts = deg.cumsum() - deg  # each position's run of sorted edges starts here
+    rank = np.arange(1, len(src) + 1) - starts[src]  # 1..deg within each run
     blocks = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        last = sizes[lo:hi] - 1
-        index = np.minimum(np.arange(last.max() + 1)[:, None], last)
-        index += starts[lo:hi]
-        blocks.append((lo, hi, closed[index]))
-    return order, blocks
+    for first, last, rows in cuts:
+        table = np.empty((rows, last - first), dtype=np.int64)
+        table[:] = np.arange(first, last)
+        edges = slice(starts[first], starts[last - 1] + deg[last - 1])
+        table.ravel()[rank[edges] * (last - first) + (src[edges] - first)] = dst[edges]
+        blocks.append((first, last, table))
+    return nodes, lo, hi, blocks
+
+
+def _level(blocks: list, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` with row i set to the OR of the ``rows`` that column i of its
+    block's table names."""
+    for first, last, table in blocks:
+        np.bitwise_or.reduce(rows.take(table, axis=0), axis=0, out=out[first:last])
+    return out
 
 
 def _eccentricities(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(ecc, reach): hop eccentricities and the converged reach bitsets, both
-    with one row per node in the order of ``_neighbour_tables``.
+    """(ecc, reach): hop eccentricities and the converged reach bitsets of
+    the nodes of degree > 0, one row per position of ``_neighbour_tables``.
 
     Breadth-first search from all sources at once (Then et al., PVLDB 2014):
-    the row of v in ``reach`` is the bitset of nodes within ``level`` hops of
-    v, and each level ORs together the rows of v's closed neighbourhood
-    {v} | N(v), one padded table per block; level 1, where the rows of
-    non-isolated nodes grew, also counts the triangles if none are kept. Hop
-    distances within a component are contiguous, so a row that stops growing
-    already holds v's whole component, and v's eccentricity within it is the
-    last level at which its row grew. The search ends when no row grows, so
-    v's row of the returned ``reach`` is v's connected component.
+    the row of position i in ``reach`` is the bitset of positions within
+    ``level`` hops of it, and each level ORs together the rows of i's closed
+    neighbourhood {i} | N(i), one padded table per block. Level 1 ORs the
+    identity rows, so it is the closed neighbourhoods, and counts the
+    triangles if none are kept. Hop distances within a component are
+    contiguous, so a row that stops growing already holds its whole
+    component, and its eccentricity within it is the last level at which it
+    grew. The search ends when no row grows, so the returned ``reach`` row
+    of a position is its connected component.
     """
-    order, blocks = _neighbour_tables(g)
-    reach = _packed_closed(g)
+    nodes, lo, hi, blocks = _neighbour_tables(g)
+    k = len(nodes)
+    reach = _level(blocks, _identity(k), np.empty((k, -(-k // 64)), dtype=np.uint64))
     if g._triangles is None:
-        _remember_triangles(g, reach)
-    reach = reach[order]
+        _remember_triangles(g, reach, lo, hi)
     grown = np.empty_like(reach)
-    ecc = (g.degrees[order] > 0).astype(np.int64)
+    ecc = np.ones(k, dtype=np.int64)  # every row grew at level 1: it gained a neighbour
     level = 1
     while True:
-        for lo, hi, table in blocks:
-            np.bitwise_or.reduce(reach.take(table, axis=0), axis=0, out=grown[lo:hi])
-        grew = np.flatnonzero(grown != reach)  # words that grew, row-major
+        grew = (_level(blocks, reach, grown) != reach).ravel().nonzero()[0]  # words that grew, row-major
         if not len(grew):
             return ecc, reach
         level += 1
@@ -395,11 +437,16 @@ def diameter(g: Graph) -> int:
     Components of maximal size tie-break by taking the largest diameter
     among them. Computed on the largest component (rather than infinity)
     because sparse simulated graphs are routinely disconnected. A node's
-    component size is the popcount of its converged reach row.
+    component size is the popcount of its converged reach row. Only the
+    nodes of degree > 0 are searched: with an edge, the largest component
+    has at least two nodes, so an isolated node never decides it; with
+    none, the diameter is 0.
     """
     if g.node_count < 1:
         raise UndefinedFeature("diameter needs at least one node")
     ecc, reach = _eccentricities(g)
+    if not len(ecc):
+        return 0
     sizes = np.bitwise_count(reach).sum(axis=1)
     return int(ecc[sizes == sizes.max()].max())
 

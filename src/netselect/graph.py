@@ -6,7 +6,7 @@ A ``Graph`` is an immutable value: its edges are the distinct pairs
 ``read_edge_list``, ``induced_subgraph``, ``toggle_edge`` and the generators --
 hands the constructor such arrays; edits return a new graph that shares
 nothing with the old one. A graph keeps no neighbourhood structure: a kernel
-that wants one (the closed-neighbourhood CSR of ``features.diameter``, the
+that wants one (the padded neighbour tables of ``features.diameter``, the
 packed bitsets of ``features.count_triangles``) builds it from the edge arrays
 and drops it when it returns. ``has_edge`` searches the sorted ``lo * n + hi``
 edge keys. All arrays are read-only.

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -371,6 +373,27 @@ def test_compare_plot_data(tmp_path):
     assert body.startswith("x,density\n")
 
 
+def test_compare_plot_data_keeps_two_specs_of_one_file_name_apart(tmp_path):
+    """Both spec files are named m.json, so the models get the ids m_1 and
+    m_2, and each feature gets four files: two per model."""
+    data = make_data_graph(tmp_path, {"type": "er", "n": 12, "p": 0.5})
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    m1 = write_json(tmp_path / "a" / "m.json", {"type": "er", "n": 12, "p": 0.1})
+    m2 = write_json(tmp_path / "b" / "m.json", {"type": "er", "n": 12, "p": 0.9})
+    plots = tmp_path / "plots"
+    assert run_cli(["compare", "--data", data, "--model", m1, "--model2", m2,
+                    "--features", "link_density,triangle_count", "--samples", 20,
+                    "--seed", 1, "--out", tmp_path / "r.json", "--plot-data", plots]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert (report["model_1"], report["model_2"]) == ("m_1", "m_2")
+    assert sorted(f.name for f in plots.iterdir()) == sorted(
+        f"{feature}_{model}_{kind}.csv" for feature in ("link_density", "triangle_count")
+        for model in ("m_1", "m_2") for kind in ("density", "hist"))
+    sparse = (plots / "link_density_m_1_hist.csv").read_text()
+    assert sparse != (plots / "link_density_m_2_hist.csv").read_text()
+
+
 def test_compare_plot_data_draws_each_ensemble_once(tmp_path, monkeypatch):
     import netselect.inference as inference
     data = make_data_graph(tmp_path, {"type": "er", "n": 12, "p": 0.5})
@@ -459,6 +482,37 @@ def test_elicit_pairwise_ratios(tmp_path, capsys):
                     "--samples", 30, "--seed", 7]) == 0
     row = json.loads(capsys.readouterr().out)["ranges"][0]
     assert row["ratios"]["m1/m2"] == 1.0
+
+
+def test_elicit_keeps_two_specs_of_one_file_name_apart(tmp_path, capsys):
+    """ER(12, 0.1) and ER(12, 0.9), both in files named m.json: ids m_1 and
+    m_2, each with its own probability of a density up to 0.5."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    m1 = write_json(tmp_path / "a" / "m.json", {"type": "er", "n": 12, "p": 0.1})
+    m2 = write_json(tmp_path / "b" / "m.json", {"type": "er", "n": 12, "p": 0.9})
+    args = ["elicit", "--model", m1, "--model2", m2, "--range", "link_density:0:0.5",
+            "--samples", 10, "--seed", 1]
+    assert run_cli(args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["models"] == ["m_1", "m_2"]
+    row = out["ranges"][0]
+    assert {k: v["probability"] for k, v in row["per_model"].items()} == {"m_1": 1.0, "m_2": 0.0}
+    assert row["ratios"] == {"m_1/m_2": "inf"}
+    assert run_cli([*args, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "link_density,0.0,0.5,m_1,1.0,0.0", "link_density,0.0,0.5,m_2,0.0,0.0"]
+
+
+@pytest.mark.parametrize("labels, ids", [
+    (["a/m.json", "b/m.json"], ["m_1", "m_2"]),
+    (["x.json", "a/m.json", "b/m.json"], ["x", "m_2", "m_3"]),
+    (["m.json", "m.json", "m_2.json"], ["m_1", "m_2_2", "m_2_3"]),
+    (["m1.json", {"type": "er"}], ["m1", "model_2"]),
+])
+def test_model_ids_differ_and_distinct_labels_stay(labels, ids):
+    from netselect.cli import _model_ids
+    assert _model_ids(labels) == ids
 
 
 def test_elicit_rejects_inverted_range(tmp_path):
@@ -890,3 +944,49 @@ def test_grid_flag_replaces_prior(tmp_path, capsys):
                     "--samples", 20, "--seed", 1]) == 0
     assert json.loads(capsys.readouterr().out)["ranges"][0]["per_model"][
         "ba"]["probability"] == 1.0
+
+
+# --------------------------------------------------------------------------
+# inputs too large for memory
+# --------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: Address-space limit of the child interpreter: 1.5 GB, as `ulimit -v 1500000`.
+CHILD_LIMIT = 1_500_000 * 1024
+
+
+def run_limited_cli(args):
+    """``netselect args`` in a fresh interpreter under CHILD_LIMIT bytes of
+    address space; returns (exit code, stdout, stderr)."""
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_LIMIT}, {CHILD_LIMIT}))\n"
+            "from netselect.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("feature, value", [("diameter", 1), ("triangle_count", 0)])
+def test_bitset_kernels_on_two_edges_among_a_million_nodes(tmp_path, feature, value):
+    """Only the four nodes with an edge get a bitset row: one of n bits per
+    node would take 116 GiB."""
+    data = tmp_path / "g.tsv"
+    data.write_text("# n=1000000\n0\t1\n999998\t999999\n")
+    code, out, err = run_limited_cli(["features", "--data", data, "--features", feature])
+    assert (code, "Traceback" in err) == (0, False), err
+    assert json.loads(out)["rows"] == [{"kind": feature, "value": value, "discrete": True}]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_model_too_large_for_memory_is_an_input_error(tmp_path, threads):
+    """ER(200000, 0.5) lists its 2e10 node pairs: that fails to allocate, in
+    a pool worker too, and the command exits 2 with a message, not a traceback."""
+    data = make_data_graph(tmp_path, {"type": "er", "n": 12, "p": 0.5})
+    m = write_json(tmp_path / "huge.json", {"type": "er", "n": 200000, "p": 0.5})
+    code, _, err = run_limited_cli(["compare", "--data", data, "--model", m, "--model2", m,
+                                    "--features", "link_density", "--samples", 2,
+                                    "--threads", threads])
+    assert (code, "Traceback" in err) == (2, False), err
+    assert err.startswith("error: out of memory in compare: ")

@@ -31,6 +31,7 @@ from netselect import (
 )
 from netselect import PointPrior, PowerLaw, features
 from netselect.features import bethe_hessian
+from test_graph_csr import assert_columns_match, oracle_sets
 
 
 def k_complete(n):
@@ -498,29 +499,51 @@ def test_bitset_kernels_match_oracles_on_hub_graphs(graph, chunk):
 
 @pytest.mark.parametrize("chunk", [1, 8, 97, 5000, None])
 def test_neighbour_table_blocks_are_bounded_and_hold_each_closed_row(monkeypatch, chunk):
+    """Each column of a node of degree > 0 holds its closed neighbourhood in
+    positions; blocks tile the positions within max(_EDGE_CHUNK, one column)
+    entries, in one block of ascending ids whenever that fits, else by
+    ascending degree."""
     if chunk is not None:
         monkeypatch.setattr(features, "_EDGE_CHUNK", chunk)
     graphs = [star_with_tails(60, [i % 4 for i in range(60)], np.arange(151)),
               (300, list(sample_graph(PowerLaw(300, PointPrior(2.1)),
                                       np.random.default_rng(3)).edges())),
               (40, [(i, i + 1) for i in range(39)]),
-              (150, list(generate_er(150, 0.3, np.random.default_rng(4)).edges()))]
+              (150, list(generate_er(150, 0.3, np.random.default_rng(4)).edges())),
+              (70, [(3, 9), (9, 40), (40, 3), (50, 51), (51, 69)])]
     for n, edges in graphs:
         g = build_graph(n, edges)
-        ptr, closed = features._closed_neighbourhoods(g)
-        sizes = np.diff(ptr)
-        order, blocks = features._neighbour_tables(g)
-        assert sorted(order.tolist()) == list(range(n))
-        if n * sizes.max() <= features._EDGE_CHUNK:
-            assert order.tolist() == list(range(n)) and len(blocks) == 1
-        assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
-        assert blocks[-1][1] == n
-        for lo, hi, table in blocks:
-            widest = int(sizes[order[lo:hi]].max())
-            assert table.shape == (widest, hi - lo)
+        sets = oracle_sets(n, edges)
+        assert_columns_match(g, sets)
+        nodes, _, _, blocks = features._neighbour_tables(g)
+        assert sorted(nodes.tolist()) == [v for v in range(n) if sets[v]]
+        sizes = [len(sets[v]) + 1 for v in nodes.tolist()]
+        if len(nodes) * max(sizes) <= features._EDGE_CHUNK:
+            assert nodes.tolist() == sorted(nodes.tolist()) and len(blocks) == 1
+        else:
+            assert sizes == sorted(sizes)
+        assert [first for first, _, _ in blocks] == [0] + [last for _, last, _ in blocks[:-1]]
+        assert blocks[-1][1] == len(nodes)
+        for first, last, table in blocks:
+            widest = max(sizes[first:last])
+            assert table.shape == (widest, last - first)
             assert table.size <= max(features._EDGE_CHUNK, widest)
-            for i, v in enumerate(order[lo:hi]):
-                assert set(order[table[:, i]].tolist()) == set(closed[ptr[v]:ptr[v + 1]].tolist())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(component_graphs(), st.integers(0, 80), st.integers(0, 2**32 - 1),
+       st.sampled_from([features._EDGE_CHUNK, 1, 8, 97]))
+def test_degree_zero_nodes_change_neither_bitset_kernel(graph, extra, seed, chunk):
+    """The kernels search only the nodes of degree > 0: ``extra`` isolated
+    nodes added at random ids shift the others' positions and word
+    boundaries, and leave the diameter and the triangle count as they were."""
+    n, edges = graph
+    ids = np.random.default_rng(seed).choice(n + extra, size=n, replace=False).tolist()
+    g = build_graph(n, edges)
+    padded = build_graph(n + extra, [(ids[u], ids[v]) for u, v in edges])
+    with mock.patch.object(features, "_EDGE_CHUNK", chunk):
+        assert diameter(padded) == diameter(g) == bfs_diameter(g)
+        assert count_triangles(padded) == count_triangles(g) == brute_force_triangles(g)
 
 
 @pytest.mark.parametrize("kernel", [count_triangles, diameter])

@@ -1,6 +1,6 @@
-"""Property tests of the graph constructor, of the closed CSR that
-``features`` builds from a graph and of ``connected_components`` against
-set-based oracles."""
+"""Property tests of the graph constructor, of the padded neighbour tables
+that ``features`` builds from a graph's edge arrays and of
+``connected_components`` against set-based oracles."""
 
 import pickle
 from collections import Counter
@@ -30,7 +30,7 @@ from netselect import (
     toggle_edge,
     write_edge_list,
 )
-from netselect.features import _closed_neighbourhoods
+from netselect.features import _neighbour_tables
 from netselect.generators import _pair_stubs, _sample_pair_graph, _snapshot
 from netselect.graph import Graph
 from netselect.inference import fix_grid_point
@@ -55,15 +55,37 @@ def oracle_sets(n, edges):
     return sets
 
 
+def table_columns(g):
+    """Per node, the node ids its neighbour-table column holds, in table
+    order (own id, neighbours, padding), or None for a node with no column;
+    checks that the positions and the positional edges map back to the graph."""
+    nodes, lo, hi, blocks = _neighbour_tables(g)
+    np.testing.assert_array_equal(nodes[lo], g.lo)
+    np.testing.assert_array_equal(nodes[hi], g.hi)
+    columns = [None] * g.node_count
+    for first, last, table in blocks:
+        for i in range(last - first):
+            assert columns[nodes[first + i]] is None  # one column per position
+            columns[nodes[first + i]] = nodes[table[:, i]].tolist()
+    return columns
+
+
+def assert_columns_match(g, sets):
+    """A node of degree 0 has no column; any other node v's column holds v,
+    then each member of N(v) once, then v again up to the block's widest."""
+    for v, column in enumerate(table_columns(g)):
+        if not sets[v]:
+            assert column is None
+            continue
+        deg = len(sets[v])
+        assert column[0] == v and set(column[deg + 1:]) <= {v}
+        assert sorted(column[1:deg + 1]) == sorted(sets[v])
+
+
 def assert_matches_oracle(g, sets):
     n = len(sets)
     assert g.node_count == n
-    ptr, closed = _closed_neighbourhoods(g)
-    assert len(ptr) == n + 1 and ptr[0] == 0
-    for v in range(n):
-        row = closed[ptr[v]:ptr[v + 1]].tolist()
-        assert row == sorted(sets[v] | {v})  # sorted, no repeats, the right set
-        assert all(v in sets[w] for w in row if w != v)
+    assert_columns_match(g, sets)
     np.testing.assert_array_equal(g.degrees, [len(s) for s in sets])
     assert g.edge_count == sum(len(s) for s in sets) // 2
     edges = sorted((u, v) for u in range(n) for v in sets[u] if u < v)
@@ -85,17 +107,16 @@ def test_build_graph_matches_set_oracle(case):
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
 def test_closed_and_open_rows_match_the_edge_list(n):
-    """Closed rows and ``has_edge`` on rows that cross 64-bit word boundaries;
-    the top quarter of the ids and any node no pair touches stay isolated."""
+    """Table columns and ``has_edge`` on ids that cross 64-bit word
+    boundaries; the top quarter of the ids and any node no pair touches stay
+    isolated, so they get no column and the others' positions shift."""
     pairs = np.random.default_rng(n).integers(0, max(1, n - n // 4), size=(n, 2)).tolist()
     edges = [(u, v) for u, v in pairs if u != v]
     sets = oracle_sets(n, edges)
     g = build_graph(n, edges)
-    ptr, closed = _closed_neighbourhoods(g)
-    assert len(ptr) == n + 1 and ptr[0] == 0
     assert any(not s for s in sets) or n == 0
+    assert_columns_match(g, sets)
     for v in range(n):
-        assert closed[ptr[v]:ptr[v + 1]].tolist() == sorted(sets[v] | {v})
         assert [g.has_edge(v, u) for u in range(n)] == [u in sets[v] for u in range(n)]
 
 

@@ -520,6 +520,17 @@ def test_a_failing_job_cancels_the_jobs_not_started(tmp_path):
     assert len(list(first.iterdir())) < 20
 
 
+def _allocate_an_exbibyte(i):
+    return np.empty(1 << 60, dtype=np.uint8)
+
+
+def test_a_workers_memory_error_reaches_the_caller():
+    """The allocation fails at once; the worker's MemoryError is raised in
+    the caller as a MemoryError, which ``cli.main`` turns into exit 2."""
+    with pytest.raises(MemoryError):
+        inference.pool_map(_allocate_an_exbibyte, [(0,), (1,)], 2)
+
+
 def test_a_pool_whose_worker_died_is_dropped():
     jobs = [(-i,) for i in range(1, 5)]
     assert inference.pool_map(abs, jobs, 2) == [1, 2, 3, 4]
