@@ -295,8 +295,9 @@ def cmd_elicit(opts: dict) -> int:
     for kind, lo, hi in ranges:
         probs = {}
         for model_id in ids:
-            p, se = range_probability(per_model[model_id][kind], lo, hi)
-            probs[model_id] = {"probability": p, "std_error": se}
+            p, se, p_lo, p_hi = range_probability(per_model[model_id][kind], lo, hi)
+            probs[model_id] = {"probability": p, "std_error": se,
+                               "probability_lo": p_lo, "probability_hi": p_hi}
         ratios = {}
         for i, id_a in enumerate(ids):
             for id_b in ids[i + 1:]:
@@ -306,10 +307,10 @@ def cmd_elicit(opts: dict) -> int:
                            "per_model": probs, "ratios": ratios})
 
     if opts.get("format") == "csv":
-        text = _csv([["feature", "lo", "hi", "model", "probability", "std_error"],
+        keys = ["probability", "std_error", "probability_lo", "probability_hi"]
+        text = _csv([["feature", "lo", "hi", "model", *keys],
                      *([row["feature"], row["lo"], row["hi"], model_id,
-                        row["per_model"][model_id]["probability"],
-                        row["per_model"][model_id]["std_error"]]
+                        *(row["per_model"][model_id][key] for key in keys)]
                        for row in range_rows for model_id in ids)])
     else:
         text = _dump_json({"n_samples": n_samples, "master_seed": seed,

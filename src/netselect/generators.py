@@ -543,9 +543,11 @@ def _sample_pair_graph(n: int, pair_probs, rng: np.random.Generator) -> Graph:
     on (n, pair_probs, rng state) and not on the blocking."""
     los, his = [], []
     for iu, ju in _pair_blocks(n):
-        hits = np.flatnonzero(_uniforms(rng, len(iu)) < pair_probs(iu, ju))
-        los.append(iu[hits])
-        his.append(ju[hits])
+        hits = (_uniforms(rng, len(iu)) < pair_probs(iu, ju)).nonzero()[0]
+        los.append(iu.take(hits))
+        his.append(ju.take(hits))
+    if len(los) == 1:
+        return Graph(n, los[0], his[0])
     return Graph(n, np.concatenate(los), np.concatenate(his))
 
 
@@ -589,9 +591,11 @@ def sample_powerlaw_degrees(n: int, alpha: float, d_min: int,
     if d_min < 1:
         raise InvalidSpec(f"d_min must be >= 1, got {d_min}")
     _check_n(n)
-    u = rng.random(n)
-    raw = np.floor(d_min * u ** (-1.0 / (alpha - 1.0)))
-    degrees = np.minimum(n - 1, raw).astype(np.int64)
+    raw = rng.random(n) ** (-1.0 / (alpha - 1.0))
+    raw *= d_min
+    # raw > 0 (a zero uniform gives inf, which the clamp takes first), so the
+    # truncating cast floors
+    degrees = np.minimum(raw, n - 1).astype(np.int64)
     if degrees.sum() % 2 == 1:
         below = np.flatnonzero(degrees < n - 1)
         degrees[below[rng.integers(len(below))]] += 1
@@ -617,7 +621,7 @@ def _pair_stubs(degrees: np.ndarray, rng: np.random.Generator) -> Graph:
     """``generate_from_degrees`` for an int64 sequence already known to be
     valid, as ``sample_powerlaw_degrees`` makes them."""
     n = len(degrees)
-    stubs = np.repeat(np.arange(n), degrees)
+    stubs = np.arange(n).repeat(degrees)
     rng.shuffle(stubs)
     return Graph(n, *_canonical_pairs(n, stubs[0::2], stubs[1::2]))
 

@@ -47,7 +47,7 @@ class Graph:
         n = self.node_count
         degrees = np.bincount(np.concatenate((self.lo, self.hi)), minlength=n)
         for a in (self.lo, self.hi, degrees):
-            a.flags.writeable = False
+            a.setflags(write=False)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "edge_count", len(self.lo))
 
@@ -89,10 +89,14 @@ class Graph:
 def _canonical_pairs(node_count: int, u: np.ndarray,
                      v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pairs {u[i], v[i]} with u[i] != v[i] as row-major (lo, hi) arrays."""
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    keys = np.sort((lo * node_count + hi)[lo != hi])
-    first = np.ones(len(keys), dtype=bool)  # np.unique, without its overhead
-    first[1:] = keys[1:] != keys[:-1]
+    keys = np.minimum(u, v)
+    keys *= node_count
+    keys += np.maximum(u, v)
+    keys = keys[u != v]
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)  # np.unique, without its overhead
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return np.divmod(keys[first], max(node_count, 1))
 
 

@@ -40,12 +40,13 @@ from .generators import (
     sample_graph,
 )
 from .graph import Graph, induced_subgraph
-from .seeds import derive_seed
+from .seeds import derive_seed, spawn_rng
 
 DEFAULT_SAMPLES = 100  # prior-predictive draws per model or grid point
 PSEUDO_COUNT = 0.5
 ZERO_VARIANCE_WEIGHT_CAP = 1e12
 DECISION_REL_TOL = 1e-9
+_WILSON_Z = 1.959963984540054  # standard normal 0.975 quantile: 95% Wilson bounds
 
 #: Fixed orientation of the decision rule, echoed in every report.
 DECISION_RULE = "choose model_1 iff combined_ratio < posterior_odds"
@@ -127,12 +128,27 @@ class Kde:
 DensityEstimate = Union[DiscretePmf, Kde]
 
 
-def silverman_bandwidth(values: np.ndarray) -> float:
-    """0.9 * min(sd, IQR/1.34) * n^(-1/5); falls back to sd when the IQR is zero."""
+def silverman_bandwidth(values: np.ndarray, sd: Optional[float] = None) -> float:
+    """0.9 * min(sd, IQR/1.34) * n^(-1/5); falls back to sd when the IQR is zero.
+
+    ``sd`` is the sample's ddof=1 standard deviation when the caller has it.
+    The quartiles follow ``np.percentile``'s default linear rule (Hyndman &
+    Fan type 7) bit for bit, read off one sort: at h = (n - 1) q between the
+    sorted values a = x[floor(h)] and b = x[floor(h) + 1], with t = h - floor(h),
+    a + (b - a) t when t < 0.5, else b - (b - a)(1 - t).
+    """
     values = np.asarray(values, dtype=float)
-    sd = float(np.std(values, ddof=1))
-    q75, q25 = np.percentile(values, [75, 25])
-    iqr = float(q75 - q25)
+    if sd is None:
+        sd = float(np.std(values, ddof=1))
+    x = np.sort(values)
+    quartiles = []
+    for q in (0.75, 0.25):
+        h = (len(x) - 1) * q
+        i = int(h)
+        t = h - i
+        a, b = float(x[i]), float(x[min(i + 1, len(x) - 1)])
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    iqr = quartiles[0] - quartiles[1]
     scale = min(sd, iqr / 1.34) if iqr > 0 else sd
     return 0.9 * scale * len(values) ** -0.2
 
@@ -144,9 +160,10 @@ def estimate_density(samples: FeatureSamples) -> DensityEstimate:
     values = samples.values
     if samples.kind.is_discrete:
         return _pmf_from_values(values, integer_domain=True)
-    if len(values) < 2 or float(np.std(values, ddof=1)) == 0.0:
+    sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    if sd == 0.0:
         return _pmf_from_values(values, integer_domain=False)
-    return Kde(values, silverman_bandwidth(values))
+    return Kde(values, silverman_bandwidth(values, sd))
 
 
 def _pmf_from_values(values: np.ndarray, integer_domain: bool) -> DiscretePmf:
@@ -283,13 +300,28 @@ def decide(combined_ratio: float, posterior_odds: float) -> Decision:
     return Decision.MODEL_1 if combined_ratio < posterior_odds else Decision.MODEL_2
 
 
-def range_probability(samples: FeatureSamples, lo: float, hi: float) -> tuple[float, float]:
-    """(fraction of sampled values in [lo, hi], Monte Carlo standard error)."""
+def range_probability(samples: FeatureSamples, lo: float,
+                      hi: float) -> tuple[float, float, float, float]:
+    """(p, se, p_lo, p_hi): the fraction p of sampled values in [lo, hi], its
+    Monte Carlo standard error, and p's 95% Wilson score bounds (Brown, Cai
+    & DasGupta, Stat. Sci. 2001), which stay above 0 at zero hits and below 1
+    at all hits, where se reads 0.
+
+    With k hits in N, the bounds are (k + z^2/2 -+ w) / (N + z^2), where
+    w = z sqrt(k (N - k) / N + z^2 / 4); the upper one is taken as 1 minus the
+    lower one of N - k hits, so p_lo is exactly 0 at k = 0 and p_hi exactly 1
+    at k = N.
+    """
     if lo > hi:
         raise InvalidInput(f"need lo <= hi, got [{lo}, {hi}]")
     inside = (samples.values >= lo) & (samples.values <= hi)
-    p = float(np.mean(inside))
-    return p, math.sqrt(p * (1.0 - p) / samples.n)
+    k, n = int(np.count_nonzero(inside)), samples.n
+    p = k / n
+    z2 = _WILSON_Z * _WILSON_Z
+    half = z2 / 2
+    w = math.sqrt(z2 * k * (n - k) / n + half * half)  # sqrt(half^2) is half exactly
+    return (p, math.sqrt(p * (1.0 - p) / n),
+            (k + half - w) / (n + z2), 1.0 - (n - k + half - w) / (n + z2))
 
 
 # --------------------------------------------------------------------------
@@ -398,11 +430,11 @@ def _draw_chunk(group: tuple[ModelSpec, ...], kinds: Optional[tuple[FeatureKind,
     """
     out = [[] for _ in group]
     for index in range(first, stop):
-        seed = derive_seed(master_seed, index)
-        rng = np.random.default_rng(seed)
-        start = rng.bit_generator.state
+        rng = spawn_rng(master_seed, index)
+        bits = rng.bit_generator
+        start = bits.state
         for spec, draws in zip(group, out):
-            rng.bit_generator.state = start
+            bits.state = start
             g = sample_graph(spec, rng)
             if kinds is None:
                 draws.append(g)
@@ -412,7 +444,7 @@ def _draw_chunk(group: tuple[ModelSpec, ...], kinds: Optional[tuple[FeatureKind,
             except UndefinedFeature as exc:
                 raise UndefinedFeature(
                     f"{exc} (model {json.dumps(model_spec_to_json(spec))}, "
-                    f"sample {index}, seed {seed})") from None
+                    f"sample {index}, seed {derive_seed(master_seed, index)})") from None
     return out
 
 

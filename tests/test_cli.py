@@ -501,7 +501,30 @@ def test_elicit_keeps_two_specs_of_one_file_name_apart(tmp_path, capsys):
     assert row["ratios"] == {"m_1/m_2": "inf"}
     assert run_cli([*args, "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
-        "link_density,0.0,0.5,m_1,1.0,0.0", "link_density,0.0,0.5,m_2,0.0,0.0"]
+        "link_density,0.0,0.5,m_1,1.0,0.0,0.7224672001371107,1.0",
+        "link_density,0.0,0.5,m_2,0.0,0.0,0.0,0.27753279986288926"]
+
+
+def test_elicit_zero_hits_carry_a_positive_upper_bound(tmp_path, capsys):
+    """No draw of ER(200, U(0.02, 0.05)) or SBM(200, 4, 0.1, 0.01) has a link
+    density in [0.2, 0.3]: each reads probability 0.0 with std_error 0.0, and
+    the Wilson bounds [0, z^2 / (100 + z^2)] say how little 100 draws rule out,
+    in JSON and CSV."""
+    er = write_json(tmp_path / "er.json", {"type": "er", "n": 200, "p": {"uniform": [0.02, 0.05]}})
+    sbm = write_json(tmp_path / "sbm.json",
+                     {"type": "sbm", "n": 200, "k": 4, "p_in": 0.1, "p_out": 0.01})
+    args = ["elicit", "--model", er, "--model2", sbm, "--range", "link_density:0.2:0.3",
+            "--samples", 100, "--seed", 0]
+    assert run_cli(args) == 0
+    per_model = json.loads(capsys.readouterr().out)["ranges"][0]["per_model"]
+    hi = 1.959963984540054 ** 2 / (100 + 1.959963984540054 ** 2)
+    for entry in per_model.values():
+        assert entry["probability"] == entry["std_error"] == entry["probability_lo"] == 0.0
+        assert entry["probability_hi"] == pytest.approx(hi, rel=1e-12)
+    assert run_cli([*args, "--format", "csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "feature,lo,hi,model,probability,std_error,probability_lo,probability_hi"
+    assert [row.split(",")[4:7] for row in rows] == [["0.0", "0.0", "0.0"]] * 2
 
 
 @pytest.mark.parametrize("labels, ids", [

@@ -32,7 +32,7 @@ from netselect import (
 )
 from netselect.features import _neighbour_tables
 from netselect.generators import _pair_stubs, _sample_pair_graph, _snapshot
-from netselect.graph import Graph
+from netselect.graph import Graph, _canonical_pairs
 from netselect.inference import fix_grid_point
 
 
@@ -386,6 +386,76 @@ def test_power_law_draws_pair_stubs_as_generate_from_degrees(n, alpha, d_min, se
     assert rng.bit_generator.state == checked.bit_generator.state
     spec = PowerLaw(n, PointPrior(alpha), d_min)
     assert sample_graph(spec, np.random.default_rng(seed)) == g
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random(n)`` returns fixed uniforms and
+    whose ``integers(k)`` returns 0 (the parity fix takes the first entry)."""
+
+    def __init__(self, u):
+        self.u = np.array(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+    def integers(self, k):
+        return 0
+
+
+@st.composite
+def boundary_uniforms(draw):
+    """(n, alpha, d_min, uniforms): 0.0, arbitrary values, and the uniforms at
+    which d_min * u^(-1/(alpha-1)) crosses an integer, one ulp either side."""
+    n = draw(st.integers(1, 60))
+    alpha = draw(st.floats(2.01, 6.0))
+    d_min = draw(st.integers(1, 3))
+    crossing = st.builds(lambda j, side: float(np.nextafter(
+        (j / d_min) ** (1.0 - alpha), side)), st.integers(d_min, 3 * n + 3),
+        st.sampled_from([0.0, 1.0]))
+    exact = st.integers(d_min, 3 * n + 3).map(lambda j: (j / d_min) ** (1.0 - alpha))
+    u = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                                crossing, exact).filter(lambda x: 0.0 <= x < 1.0),
+                      min_size=n, max_size=n))
+    return n, alpha, d_min, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_uniforms())
+def test_power_law_degrees_equal_floor_then_clamp(case):
+    """The truncating cast after the clamp equals the floor before it,
+    including a zero uniform (an infinite raw degree) and integer crossings."""
+    n, alpha, d_min, u = case
+    with np.errstate(divide="ignore", over="ignore"):
+        raw = np.floor(d_min * np.array(u) ** (-1.0 / (alpha - 1.0)))
+    expected = np.minimum(n - 1, raw).astype(np.int64)
+    if expected.sum() % 2 == 1:
+        expected[np.flatnonzero(expected < n - 1)[0]] += 1
+    with np.errstate(divide="ignore", over="ignore"):
+        degrees = sample_powerlaw_degrees(n, alpha, d_min, _Uniforms(u))
+    assert degrees.dtype == np.int64
+    assert degrees.tolist() == expected.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)
+    if n else st.just([]))))
+def test_canonical_pairs_equal_the_unique_oracle(case):
+    """Empty input, self-loops (all of them, or some) and repeated pairs in
+    either orientation: the distinct non-loop pairs, row-major."""
+    n, pairs = case
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    got = _canonical_pairs(n, u, v)
+    for a, b in zip(got, np.divmod(keys, max(n, 1))):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist()
+
+
+def test_canonical_pairs_of_only_self_loops_are_empty():
+    u = np.array([3, 3, 0, 7], dtype=np.int64)
+    assert [a.tolist() for a in _canonical_pairs(8, u, u.copy())] == [[], []]
 
 
 def test_pickle_carries_only_the_edge_arrays_and_every_array_is_read_only():

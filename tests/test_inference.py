@@ -69,7 +69,7 @@ from netselect.inference import (
     grid_points,
     grid_posterior,
 )
-from netselect.seeds import derive_seed
+from netselect.seeds import derive_seed, spawn_rng
 
 
 def discrete_samples(values, kind="triangle_count"):
@@ -162,12 +162,44 @@ def test_kde_evidence_integrates_to_one():
     assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-3)
 
 
+def _percentile_bandwidth(values):
+    """Silverman's rule with numpy's percentiles: the reference the one-sort
+    quartiles must equal bit for bit."""
+    sd = float(np.std(values, ddof=1))
+    q75, q25 = np.percentile(values, [75, 25])
+    iqr = float(q75 - q25)
+    scale = min(sd, iqr / 1.34) if iqr > 0 else sd
+    return 0.9 * scale * len(values) ** -0.2
+
+
 def test_silverman_bandwidth_formula():
     values = np.random.default_rng(1).normal(size=500)
     sd = np.std(values, ddof=1)
     iqr = np.subtract(*np.percentile(values, [75, 25]))
     expected = 0.9 * min(sd, iqr / 1.34) * 500 ** -0.2
-    assert silverman_bandwidth(values) == pytest.approx(expected)
+    assert silverman_bandwidth(values) == expected
+    assert silverman_bandwidth(values, float(sd)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 6).map(float), st.integers(0, 10 ** 6).map(float),
+                          st.floats(-1e3, 1e3)), min_size=2, max_size=300),
+       st.sampled_from([1e-9, 0.37, 1.0, 7.5, 3e8]))
+def test_silverman_bandwidth_equals_the_percentile_formula(raw, scale):
+    """Ties, heavy tails (where the IQR term binds) and n = 2..300: every
+    virtual index h = (n - 1) q, on both sides of t = 0.5."""
+    values = np.array(raw) * scale
+    assert silverman_bandwidth(values) == _percentile_bandwidth(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 128), st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=3))
+def test_spawn_rng_is_default_rng_of_the_derived_seed(master, key):
+    a, b = np.random.SeedSequence(master, spawn_key=tuple(key)).generate_state(2, np.uint64)
+    seed = (int(a) << 64) | int(b)
+    assert derive_seed(master, *key) == seed
+    expected = np.random.default_rng(seed).bit_generator.state
+    assert spawn_rng(master, *key).bit_generator.state == expected
 
 
 # --------------------------------------------------------------------------
@@ -293,23 +325,50 @@ def test_decide_with_infinite_odds():
 # Range probabilities
 # --------------------------------------------------------------------------
 
+Z95 = 1.959963984540054  # standard normal 0.975 quantile
+
+
 def test_range_probability_full_and_empty():
+    """Zero hits are not certainty: with N = 3 draws, no hit gives the Wilson
+    upper bound z^2 / (N + z^2), and N hits the lower bound N / (N + z^2)."""
     samples = continuous_samples([1.0, 2.0, 3.0])
-    assert range_probability(samples, 0.0, 10.0) == (1.0, 0.0)
-    assert range_probability(samples, 5.0, 6.0) == (0.0, 0.0)
+    p, se, p_lo, p_hi = range_probability(samples, 0.0, 10.0)
+    assert (p, se, p_hi) == (1.0, 0.0, 1.0)
+    assert p_lo == pytest.approx(3 / (3 + Z95 ** 2), rel=1e-12)
+    p, se, p_lo, p_hi = range_probability(samples, 5.0, 6.0)
+    assert (p, se, p_lo) == (0.0, 0.0, 0.0)
+    assert p_hi == pytest.approx(Z95 ** 2 / (3 + Z95 ** 2), rel=1e-12)
 
 
 def test_range_probability_infinite_proxies():
     samples = continuous_samples(np.random.default_rng(3).normal(size=50))
-    p, _ = range_probability(samples, -math.inf, math.inf)
+    p, *_ = range_probability(samples, -math.inf, math.inf)
     assert p == 1.0
 
 
 def test_range_probability_standard_error():
     samples = continuous_samples([1.0, 2.0, 3.0, 4.0])
-    p, se = range_probability(samples, 1.5, 3.5)
+    p, se, *_ = range_probability(samples, 1.5, 3.5)
     assert p == 0.5
     assert se == pytest.approx(math.sqrt(0.25 / 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 500), data=st.data())
+def test_range_probability_wilson_bounds_match_the_textbook_form(n, data):
+    """The bounds equal (p + z^2/2N -+ z sqrt(p(1-p)/N + z^2/4N^2)) / (1 + z^2/N)
+    and enclose p in [0, 1]; 0 hits give lo = 0 and N hits hi = 1 exactly."""
+    k = data.draw(st.integers(0, n))
+    samples = continuous_samples([0.0] * k + [1.0] * (n - k))
+    p, se, p_lo, p_hi = range_probability(samples, -0.5, 0.5)
+    z2 = Z95 ** 2
+    centre = (p + z2 / (2 * n)) / (1 + z2 / n)
+    half = Z95 / (1 + z2 / n) * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
+    assert p == k / n
+    assert 0.0 <= p_lo <= p <= p_hi <= 1.0
+    assert p_lo == pytest.approx(centre - half, rel=1e-12, abs=1e-15)
+    assert p_hi == pytest.approx(centre + half, rel=1e-12, abs=1e-15)
+    assert (p_lo == 0.0) == (k == 0) and (p_hi == 1.0) == (k == n)
 
 
 def test_range_rejects_inverted_bounds():
@@ -623,7 +682,6 @@ def test_independent_streams_bf_near_one():
 
 def test_compare_direction_powerlaw_data_vs_block_model():
     from netselect import PowerLaw, Sbm, sample_graph
-    from netselect.seeds import spawn_rng
 
     data = sample_graph(PowerLaw(100, PointPrior(3.2), d_min=1), spawn_rng(31))
     report = compare_models(

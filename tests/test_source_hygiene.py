@@ -9,7 +9,9 @@
 * ``Graph`` holds only its edge arrays and what is derived from them at once,
   so a kernel's structure is not cached on every graph unnoticed;
 * ``cli._write_output`` is the only function that opens a file for writing,
-  so every output file is written one way.
+  so every output file is written one way;
+* ``seeds`` is the only module that calls ``default_rng``, ``PCG64`` or
+  ``SeedSequence``, so every draw builds its generator one way.
 """
 
 import ast
@@ -111,3 +113,12 @@ def test_only_write_output_opens_a_file_for_writing():
     sites = [(mod, call.lineno) for mod, tree in trees.items() for call in _write_opens(tree)]
     assert sites == [("cli.py", call.lineno) for call in _write_opens(writer)]
     assert len(sites) == 1
+
+
+def test_only_seeds_builds_generators():
+    builders = {"default_rng", "PCG64", "SeedSequence"}
+    callers = {mod for mod, tree in _trees().items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and (node.func.attr if isinstance(node.func, ast.Attribute)
+                    else getattr(node.func, "id", None)) in builders}
+    assert callers == {"seeds.py"}

@@ -2,7 +2,9 @@
 count, and before a pool forks its workers; a worker forked before scipy
 loaded runs it on one thread too, and no worker outlives its interpreter.
 multiprocessing and concurrent.futures load only at the first pooled run,
-difflib only when a JSON object holds a key its reader does not know, and
+difflib only when a JSON object holds a key its reader does not know,
+numpy.ma not at all on a ``compare`` or a ``simulate`` (the KDE bandwidth's
+quartiles come from one sort, not ``np.percentile``, which loads it), and
 the command-line parser is built at the first ``main`` call, then kept.
 Each check runs in a fresh interpreter, since the test process itself may
 have imported scipy already.
@@ -98,6 +100,41 @@ print(json.dumps({"valid": valid, "unknown": "difflib" in sys.modules, "message"
 """)
     assert out == {"valid": False, "unknown": True,
                    "message": "er spec has no key 'pp'; did you mean 'p'?"}
+
+
+NUMPY_MA = """
+work = Path(WORK)
+def write(name, obj):
+    (work / name).write_text(json.dumps(obj))
+    return str(work / name)
+data = work / "data.tsv"
+data.write_text("# n=6\\n" + "".join(f"{i}\\t{j}\\n" for i in range(6) for j in range(i + 1, 6)
+                                     if (i + j) % 3))
+er = write("er.json", {"type": "er", "n": 30, "p": {"uniform": [0.1, 0.3]}})
+sbm = write("sbm.json", {"type": "sbm", "n": 30, "k": 2, "p_in": 0.3, "p_out": 0.05})
+codes = [netselect.cli.main(["compare", "--data", str(data), "--model", er, "--model2", sbm,
+                             "--features", "global_clustering", "--samples", "20",
+                             "--out", str(work / "compare.json")])]
+compare = "numpy.ma" in sys.modules
+power_law = {"type": "powerlaw", "n": 40, "alpha": {"point": 3.0}, "d_min": 1}
+study = write("study.json", {
+    "n_samples": 20, "seed": 3,
+    "candidates": [
+        {"id": "alpha", "spec": {**power_law, "alpha": {"grid": {"values": [2.6, 3.2]}}}},
+        {"id": "k", "spec": {"type": "sbm", "n": 40, "k": {"grid": {"values": [2, 3]}},
+                             "p_in": 0.3, "p_out": 0.03}}],
+    "windows": [{"param": "alpha", "lo": 2.5, "hi": 3.0}],
+    "rows": [{"data": {"id": "alpha", "spec": power_law},
+              "features": ["power_law_exponent"], "losses": ["absolute"]}]})
+codes.append(netselect.cli.main(["simulate", "--config", study, "--out", str(work / "s.csv")]))
+print(json.dumps({"codes": codes, "compare": compare, "simulate": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_compare_and_simulate_leave_numpy_ma_unloaded(tmp_path):
+    """A continuous feature on each command, so each fits a KDE."""
+    out = _run(f"from pathlib import Path\nWORK = {str(tmp_path)!r}\n" + NUMPY_MA)
+    assert out == {"codes": [0, 0], "compare": False, "simulate": False}
 
 
 BLOCK_COUNT = """
