@@ -265,7 +265,7 @@ def _write_plot_data(plot_dir: str, report, kinds) -> None:
                 xs = np.linspace(lo, hi, 256).tolist()
                 counts, edges = np.histogram(samples.values, bins=30)
                 hist = zip(((edges[:-1] + edges[1:]) / 2).tolist(), counts.tolist())
-            dens = [density.evaluate(x) for x in xs]
+            dens = np.exp(density.log_density(xs)).tolist()
             _write_output(_csv([["x", "density"], *zip(xs, dens)]), base + "_density.csv")
             _write_output(_csv([["x", "count"], *hist]), base + "_hist.csv")
 

@@ -46,6 +46,7 @@ DEFAULT_SAMPLES = 100  # prior-predictive draws per model or grid point
 PSEUDO_COUNT = 0.5
 ZERO_VARIANCE_WEIGHT_CAP = 1e12
 DECISION_REL_TOL = 1e-9
+LOG_VANISHING = math.log(math.ulp(0.0))  # about -744.4: below it an evidence reads 0
 _WILSON_Z = 1.959963984540054  # standard normal 0.975 quantile: 95% Wilson bounds
 
 #: Fixed orientation of the decision rule, echoed in every report.
@@ -99,10 +100,14 @@ class DiscretePmf:
         if self.n < 1 or sum(self.counts.values()) != self.n:
             raise InvalidInput("pmf counts must sum to n >= 1")
 
+    def log_density(self, xs) -> np.ndarray:
+        """The log of each x's smoothed mass."""
+        return np.array([math.log((self.counts.get(x, 0) + PSEUDO_COUNT)
+                                  / (self.n + PSEUDO_COUNT * (len(self.counts) + (x not in self.counts))))
+                         for x in map(float, xs)])
+
     def evaluate(self, x: float) -> float:
-        x = float(x)
-        support = len(self.counts) + (0 if x in self.counts else 1)
-        return (self.counts.get(x, 0) + PSEUDO_COUNT) / (self.n + PSEUDO_COUNT * support)
+        return math.exp(self.log_density([x])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +125,17 @@ class Kde:
             raise InvalidInput(f"bandwidth must be positive, got {self.bandwidth}")
         object.__setattr__(self, "values", values)
 
+    def log_density(self, xs) -> np.ndarray:
+        """The log density at each of ``xs``: a log-mean-exp over the (points x draws)
+        kernel matrix, shifted by each row's largest term so that tails stay finite."""
+        terms = -0.5 * ((np.asarray(xs, dtype=float)[:, None] - self.values) / self.bandwidth) ** 2
+        # finite, so a row whose z * z all passed the float range reads -inf, not nan
+        top = np.maximum(terms.max(axis=1), np.finfo(float).min)
+        return (top + np.log(np.mean(np.exp(terms - top[:, None]), axis=1))
+                - math.log(self.bandwidth * math.sqrt(2 * math.pi)))
+
     def evaluate(self, x: float) -> float:
-        z = (float(x) - self.values) / self.bandwidth
-        return float(np.mean(np.exp(-0.5 * z * z)) / (self.bandwidth * math.sqrt(2 * math.pi)))
+        return math.exp(self.log_density([x])[0])
 
 
 DensityEstimate = Union[DiscretePmf, Kde]
@@ -172,8 +185,8 @@ def _pmf_from_values(values: np.ndarray, integer_domain: bool) -> DiscretePmf:
                        n=len(values), integer_domain=integer_domain)
 
 
-def evidence(density: DensityEstimate, observed: float) -> float:
-    """Probability (mass or density) of the observed feature value."""
+def log_evidence(density: DensityEstimate, observed: float) -> float:
+    """The log probability (mass or density) of the observed feature value."""
     if isinstance(observed, bool) or not isinstance(observed, (int, float, np.integer, np.floating)):
         raise InvalidInput(f"observed value must be a number, got {observed!r}")
     observed = float(observed)
@@ -183,10 +196,14 @@ def evidence(density: DensityEstimate, observed: float) -> float:
         if density.integer_domain and observed != int(observed):
             raise InvalidInput(
                 f"observed {observed} is not integral but the feature is discrete")
-        return density.evaluate(observed)
-    if isinstance(density, Kde):
-        return density.evaluate(observed)
-    raise InvalidInput(f"unknown density estimate {density!r}")
+    elif not isinstance(density, Kde):
+        raise InvalidInput(f"unknown density estimate {density!r}")
+    return float(density.log_density([observed])[0])
+
+
+def evidence(density: DensityEstimate, observed: float) -> float:
+    """Probability (mass or density) of the observed feature value."""
+    return math.exp(log_evidence(density, observed))
 
 
 def bayes_factor(ev1: float, ev2: float) -> float:
@@ -203,19 +220,23 @@ def bayes_factor(ev1: float, ev2: float) -> float:
 def posterior_model_probs(evidences: Sequence[float],
                           priors: Optional[Sequence[float]] = None) -> list[float]:
     """Posterior model probabilities: p_i proportional to evidence_i * prior_i."""
-    evidences = [float(e) for e in evidences]
-    if priors is None:
-        priors = [1.0] * len(evidences)
-    priors = [float(p) for p in priors]
-    if len(priors) != len(evidences):
+    evidences = np.asarray(evidences, dtype=float)
+    priors = np.ones(len(evidences)) if priors is None else np.asarray(priors, dtype=float)
+    if priors.shape != evidences.shape:
         raise InvalidInput("evidences and priors must have equal length")
-    if any(p < 0 for p in priors) or sum(priors) <= 0:
+    if (priors < 0).any() or priors.sum() <= 0:
         raise InvalidInput("priors must be non-negative with positive sum")
-    products = [e * p for e, p in zip(evidences, priors)]
-    total = sum(products)
-    if total == 0:
+    with np.errstate(divide="ignore"):  # log 0 = -inf
+        return _normalise_logs(np.log(evidences) + np.log(priors))
+
+
+def _normalise_logs(log_weights: np.ndarray) -> list[float]:
+    """exp(log_weights) normalised to sum 1, shifted first so that no weight underflows alone."""
+    top = np.max(log_weights)
+    if top == -math.inf:
         raise UndefinedPosterior("all evidence-prior products are zero")
-    return [x / total for x in products]
+    weights = np.exp(log_weights - top)
+    return (weights / weights.sum()).tolist()
 
 
 @dataclass(frozen=True)
@@ -527,7 +548,7 @@ class ParamPosterior:
 
     params: tuple[str, ...]
     values: tuple[float, ...]
-    evidences: tuple[float, ...]
+    log_evidences: tuple[float, ...]
     posterior_weights: tuple[float, ...]
 
     def window_probability(self, param: str, lo: float, hi: float) -> float:
@@ -540,13 +561,12 @@ class ParamPosterior:
 
 
 def grid_posterior(params: Sequence[str], values: Sequence[float],
-                   evidences: Sequence[float]) -> ParamPosterior:
+                   log_evidences: Sequence[float]) -> ParamPosterior:
     """Flat-prior posterior over labeled grid points: each of the N points
     has prior 1/N, and its posterior is proportional to its evidence."""
-    n = len(params)
     return ParamPosterior(tuple(params), tuple(float(v) for v in values),
-                          tuple(float(e) for e in evidences),
-                          tuple(posterior_model_probs(evidences, [1.0 / n] * n)))
+                          tuple(float(e) for e in log_evidences),
+                          tuple(_normalise_logs(log_evidences)))
 
 
 def grid_points(spec: ModelSpec) -> tuple[str, GridPrior]:
@@ -579,17 +599,18 @@ def grid_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKin
     return [(param, grid, m) for (param, grid), m in zip(grids, matrices)]
 
 
-def grid_evidences(observations: Sequence[tuple[FeatureKind, float]],
-                   matrices: Sequence[dict]) -> np.ndarray:
-    """Per grid point, the product over ``(kind, observed)`` pairs of the
-    observed value's evidence under the point's density estimate (features
-    treated as independent)."""
-    product = np.ones(len(matrices))
-    for kind, observed in observations:
-        product *= np.asarray([
-            evidence(estimate_density(FeatureSamples(kind, m[kind])), observed)
-            for m in matrices])
-    return product
+def log_evidences(observations: Sequence[tuple[FeatureKind, float]],
+                  matrices: Sequence[dict]) -> np.ndarray:
+    """The (points x features) log evidences of the observed ``(kind, value)`` pairs
+    under each point's feature matrix; a row sums to the point's log evidence. A feature
+    whose log evidence is below ``LOG_VANISHING`` at every point raises UndefinedBayesFactor."""
+    logs = np.array([[log_evidence(estimate_density(FeatureSamples(kind, m[kind])), observed)
+                      for kind, observed in observations] for m in matrices])
+    for (kind, _), column in zip(observations, logs.T):
+        if (column < LOG_VANISHING).all():
+            raise UndefinedBayesFactor(f"the evidence of {kind.name} vanishes under every model "
+                                       f"(each log evidence is below {LOG_VANISHING:.1f})")
+    return logs
 
 
 # --------------------------------------------------------------------------
@@ -643,6 +664,9 @@ class FeatureComparison:
     expected_loss_1: float
     expected_loss_2: float
     loss_ratio: float
+    log_evidence_1: float
+    log_evidence_2: float
+    log_bayes_factor: float
 
 
 @dataclass(frozen=True)
@@ -656,6 +680,7 @@ class ComparisonReport:
     combined_ratio: float
     model_priors: tuple[float, float]
     posterior_odds: float
+    log_posterior_odds: float
     decision: Decision
     decision_rule: str = DECISION_RULE
     block_count_method: str = BLOCK_COUNT_METHOD
@@ -674,16 +699,19 @@ _FEATURE_KEYS = (
     ("el_1", "expected_loss_1"),
     ("el_2", "expected_loss_2"),
     ("loss_ratio", "loss_ratio"),
+    ("log_evidence_1", "log_evidence_1"),
+    ("log_evidence_2", "log_evidence_2"),
+    ("log_bayes_factor", "log_bayes_factor"),
 )
 
 
 def _json_number(x: float):
-    return "inf" if math.isinf(x) else x
+    return ("inf" if x > 0 else "-inf") if math.isinf(x) else x
 
 
 def _parse_number(value, name: str) -> float:
-    """The number ``_json_number`` wrote: "inf", or a JSON number (InvalidSpec otherwise)."""
-    return math.inf if value == "inf" else _strict_float(value, name)
+    """The number ``_json_number`` wrote: "inf", "-inf" or a JSON number (else InvalidSpec)."""
+    return float(value) if value in ("inf", "-inf") else _strict_float(value, name)
 
 
 def _csv(rows) -> str:
@@ -693,7 +721,7 @@ def _csv(rows) -> str:
 
 
 def report_to_json(report: ComparisonReport) -> dict:
-    """JSON-ready dict; +inf is encoded as the string "inf"."""
+    """JSON-ready dict; an infinity is encoded as the string "inf" or "-inf"."""
     return {
         "model_1": report.model_1,
         "model_2": report.model_2,
@@ -708,6 +736,7 @@ def report_to_json(report: ComparisonReport) -> dict:
         "combined_ratio": _json_number(report.combined_ratio),
         "model_priors": list(report.model_priors),
         "posterior_odds": _json_number(report.posterior_odds),
+        "log_posterior_odds": _json_number(report.log_posterior_odds),
         "decision": report.decision.value,
         "decision_rule": report.decision_rule,
         "block_count_method": report.block_count_method,
@@ -716,7 +745,7 @@ def report_to_json(report: ComparisonReport) -> dict:
 
 def report_from_json(obj: dict) -> ComparisonReport:
     """The report ``report_to_json`` wrote. Its counts and ratios must be JSON
-    numbers of their type, or "inf" for an infinite ratio (else InvalidSpec);
+    numbers of their type, or "inf" or "-inf" for an infinity (else InvalidSpec);
     unknown keys are ignored, since report keys are additive."""
     features = tuple(
         FeatureComparison(kind=FeatureKind.from_json({key: fc.get(key) for key in _KIND_FIELDS}),
@@ -734,6 +763,7 @@ def report_from_json(obj: dict) -> ComparisonReport:
         combined_ratio=_parse_number(obj["combined_ratio"], "report 'combined_ratio'"),
         model_priors=tuple(_strict_float(p, "report 'model_priors'") for p in obj["model_priors"]),
         posterior_odds=_parse_number(obj["posterior_odds"], "report 'posterior_odds'"),
+        log_posterior_odds=_parse_number(obj["log_posterior_odds"], "report 'log_posterior_odds'"),
         decision=Decision(obj["decision"]),
         decision_rule=obj["decision_rule"],
         block_count_method=obj["block_count_method"],
@@ -756,55 +786,36 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
 
     Both models consume the same derived seed stream (sample i of either
     model uses derive_seed(master_seed, i)), so comparing a model against
-    itself yields Bayes factor 1 exactly. The posterior odds multiply the
-    per-feature evidences (features treated as independent) with the model
+    itself yields Bayes factor 1 exactly. The log posterior odds add the
+    per-feature log Bayes factors (features treated as independent) to the log
     prior odds; the decision applies the fixed rule in ``DECISION_RULE``.
     """
     kinds = tuple(kinds)
     if not kinds:
         raise InvalidInput("need at least one feature")
     if len(set(kinds)) < len(kinds):
-        # the posterior odds multiply per-feature evidences: a repeat counts twice
+        # the posterior odds add per-feature log evidences: a repeat counts twice
         raise InvalidInput(f"each feature may be given once, got {[k.name for k in kinds]}")
     if not (min(model_priors) >= 0 and 0 < sum(model_priors) < math.inf):
         raise InvalidInput(f"model_priors must be finite and non-negative with a "
                            f"positive sum, got {model_priors}")
-    matrix1, matrix2 = simulate_feature_matrices([spec1, spec2], kinds, n_samples,
-                                                 master_seed, workers)
+    matrices = simulate_feature_matrices([spec1, spec2], kinds, n_samples, master_seed, workers)
+    observations = [(kind, float(extract_feature(data_graph, kind))) for kind in kinds]
+    logs = log_evidences(observations, matrices)
 
+    log_bfs = logs[0] - logs[1]
+    with np.errstate(over="ignore", divide="ignore"):  # exp saturates to inf; log 0 is -inf
+        log_odds = float(np.log(model_priors[0]) - np.log(model_priors[1]) + log_bfs.sum())
+        odds = float(np.exp(log_odds))
+        columns = np.vstack([np.exp(logs), np.exp(log_bfs), logs, log_bfs]).T.tolist()
     comparisons = []
-    log_total1 = 0.0
-    log_total2 = 0.0
-    zero1 = zero2 = False
-    for kind in kinds:
-        observed = float(extract_feature(data_graph, kind))
-        samples1 = FeatureSamples(kind, matrix1[kind])
-        samples2 = FeatureSamples(kind, matrix2[kind])
-        ev1 = evidence(estimate_density(samples1), observed)
-        ev2 = evidence(estimate_density(samples2), observed)
-        el1 = expected_loss(samples1, observed, loss)
-        el2 = expected_loss(samples2, observed, loss)
+    for (kind, observed), (ev1, ev2, bf, log1, log2, log_bf) in zip(observations, columns):
+        el1, el2 = (expected_loss(FeatureSamples(kind, m[kind]), observed, loss) for m in matrices)
         comparisons.append(FeatureComparison(
-            kind=kind, observed=observed, evidence_1=ev1, evidence_2=ev2,
-            bayes_factor=bayes_factor(ev1, ev2), expected_loss_1=el1, expected_loss_2=el2,
-            loss_ratio=_loss_ratio(el1, el2, f"for {kind.name}")))
-        zero1 |= ev1 == 0
-        zero2 |= ev2 == 0
-        log_total1 += -math.inf if ev1 == 0 else math.log(ev1)
-        log_total2 += -math.inf if ev2 == 0 else math.log(ev2)
-
-    if zero1 and zero2:
-        raise UndefinedBayesFactor("both models have zero total evidence")
-    prior_odds = model_priors[0] / model_priors[1] if model_priors[1] > 0 else math.inf
-    if zero2:
-        posterior_odds = math.inf
-    elif zero1:
-        posterior_odds = 0.0
-    else:
-        try:
-            posterior_odds = prior_odds * math.exp(log_total1 - log_total2)
-        except OverflowError:  # the features separate the models by > ~709 nats
-            posterior_odds = math.inf if prior_odds > 0 else 0.0
+            kind=kind, observed=observed, evidence_1=ev1, evidence_2=ev2, bayes_factor=bf,
+            expected_loss_1=el1, expected_loss_2=el2,
+            loss_ratio=_loss_ratio(el1, el2, f"for {kind.name}"),
+            log_evidence_1=log1, log_evidence_2=log2, log_bayes_factor=log_bf))
 
     combined = combined_loss_ratio([(fc.expected_loss_1, fc.expected_loss_2)
                                     for fc in comparisons])
@@ -812,5 +823,5 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
         model_1=model_ids[0], model_2=model_ids[1], n_samples=n_samples,
         master_seed=master_seed, loss=loss, features=tuple(comparisons),
         combined_ratio=combined, model_priors=tuple(model_priors),
-        posterior_odds=posterior_odds, decision=decide(combined, posterior_odds),
-        matrices=(matrix1, matrix2))
+        posterior_odds=odds, log_posterior_odds=log_odds,
+        decision=decide(combined, odds), matrices=tuple(matrices))

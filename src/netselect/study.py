@@ -2,9 +2,9 @@
 
 A study pits two candidate families, each a model spec with a grid prior over
 one parameter, against data drawn from a known generator. Per study row: draw
-one data graph, extract the row's features, compute per-grid-point evidences
-for every candidate, pool everything into one flat-prior hypothesis grid, and
-report window posterior probabilities plus expected-loss ratios of the
+one data graph, extract the row's features, compute per-grid-point log
+evidences for every candidate, pool everything into one flat-prior hypothesis
+grid, and report window posterior probabilities plus expected-loss ratios of the
 non-generating family over the generating one.
 """
 
@@ -31,9 +31,9 @@ from .inference import (  # noqa: F401
     estimate_density,
     evidence,
     expected_loss,
-    grid_evidences,
     grid_feature_matrices,
     grid_posterior,
+    log_evidences,
 )
 from .seeds import derive_seed, spawn_rng
 
@@ -168,8 +168,8 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
     Seeds: the data graph uses derive_seed(master, row, 0); candidate family
     f's simulations use derive_seed(master, row, 1 + f). All grid points of
     both families form one flat-prior hypothesis grid; multi-feature rows
-    multiply per-feature evidences pointwise (features treated as
-    independent) and average per-feature loss ratios.
+    sum per-point log evidences (features treated as independent) and
+    average per-feature loss ratios.
     """
     row_seed = derive_seed(config.master_seed, row_index)
     data_graph = sample_graph(row.data_spec, spawn_rng(row_seed, 0))
@@ -184,8 +184,8 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
     pooled = grid_posterior(
         [param for param, grid, _ in families for _ in grid.values],
         [value for _, grid, _ in families for value in grid.values],
-        np.concatenate([grid_evidences(observations, matrices)
-                        for _, _, matrices in families]))
+        log_evidences(observations, [m for _, _, matrices in families for m in matrices])
+        .sum(axis=1))
 
     ids = [cand.id for cand in config.candidates]
 

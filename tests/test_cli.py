@@ -254,8 +254,8 @@ def test_compare_csv_export(tmp_path, capsys):
                     "--features", "link_density", "--samples", 20,
                     "--seed", 1, "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == \
-        "kind,observed,evidence_1,evidence_2,bayes_factor,el_1,el_2,loss_ratio"
+    assert lines[0] == ("kind,observed,evidence_1,evidence_2,bayes_factor,el_1,el_2,loss_ratio,"
+                        "log_evidence_1,log_evidence_2,log_bayes_factor")
     assert len(lines) == 2
     assert run_cli(["compare", "--data", data, "--model", m1, "--model2", m1,
                     "--features", "link_density", "--samples", 20,
@@ -323,6 +323,33 @@ def test_compare_saturates_posterior_odds_beyond_float_range(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["posterior_odds"] == "inf"
     assert report["decision"] == "model_1"
+
+
+def test_compare_keeps_finite_log_odds_where_evidences_underflow(tmp_path):
+    """Model_2's evidences are about 1e-220 at p=0.8 and below the least
+    float at p=0.9; the log keys stay finite in both cases."""
+    m1 = write_json(tmp_path / "m1.json", {"type": "er", "n": 60, "p": {"uniform": [0.75, 0.85]}})
+    m2 = write_json(tmp_path / "m2.json", {"type": "er", "n": 60, "p": {"uniform": [0.3, 0.42]}})
+    reports = {}
+    for p in (0.8, 0.9):
+        data = tmp_path / f"data_{p}.tsv"
+        data.write_text(write_edge_list(generate_er(60, p, np.random.default_rng(1))))
+        out = tmp_path / f"report_{p}.json"
+        assert run_cli(["compare", "--data", data, "--model", m1, "--model2", m2,
+                        "--features", "link_density,global_clustering",
+                        "--samples", 200, "--seed", 3, "--out", out]) == 0
+        reports[p] = json.loads(out.read_text())
+    low, high = reports[0.8], reports[0.9]
+    assert low["posterior_odds"] == "inf"
+    assert low["log_posterior_odds"] == pytest.approx(1025.3, abs=0.05)
+    assert [fc["evidence_2"] for fc in high["features"]] == [0.0, 0.0]
+    assert [fc["log_evidence_2"] for fc in high["features"]] == pytest.approx(
+        [-837.6, -817.8], abs=0.05)
+    assert high["log_posterior_odds"] == pytest.approx(1643.3, abs=0.05)
+    assert high["decision"] == "model_1"
+    for report in reports.values():
+        assert report["log_posterior_odds"] == pytest.approx(
+            sum(fc["log_bayes_factor"] for fc in report["features"]), rel=1e-12)
 
 
 def test_compare_names_the_draw_with_an_undefined_feature(tmp_path, capsys):

@@ -10,11 +10,15 @@ graph construction or feature values shows up here. Every CSV is written by
 ``inference._csv``: a number cell is its ``repr`` (plain Python numbers
 only, which ``test_every_number_in_a_csv_output_is_a_plain_float`` checks
 across all CSV outputs). To re-record after a deliberate output change, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py``: it rewrites only the files
+whose bytes changed and prints, for each, how many numbers changed, the
+largest relative change, every other changed value and the keys it added.
 """
 
 import hashlib
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -280,19 +284,78 @@ def test_every_number_in_a_csv_output_is_a_plain_float(tmp_path):
             for name, (text, columns) in tables.items()} == {name: [] for name in tables}
 
 
-if __name__ == "__main__":  # re-record the golden files
+def _leaves(text: str, name: str) -> dict:
+    """Each value of a golden file by its path: a JSON leaf ("features[0].observed"),
+    or a CSV cell below the header ("[3].density")."""
+    if name.endswith(".csv"):
+        header, *rows = (line.split(",") for line in text.splitlines())
+        return {f"[{i}].{column}": cell for i, row in enumerate(rows)
+                for column, cell in zip(header, row, strict=True)}
+    out = {}
+
+    def walk(value, path):
+        if isinstance(value, (dict, list)):
+            for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+                walk(item, f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]")
+        else:
+            out[path.lstrip(".")] = value
+    walk(json.loads(text), "")
+    return out
+
+
+def _number(value):
+    """The float a JSON number or a CSV cell holds, else None ("inf" stays text)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        x = float(value)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def audit(name: str, old: bytes, new: bytes) -> str:
+    """What re-recording ``name`` changes: how many numbers, their largest
+    relative change, every other changed value, and the keys it adds."""
+    before, after = _leaves(old.decode(), name), _leaves(new.decode(), name)
+    numbers, largest, other = 0, 0.0, sorted(set(before) - set(after))
+    for path in before.keys() & after.keys():
+        a, b = before[path], after[path]
+        if type(a) is type(b) and a == b:
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None or type(a) is not type(b):
+            other.append(path)
+        else:
+            numbers += 1
+            largest = max(largest, abs(y - x) / abs(x) if x else math.inf)
+    added = sorted({re.sub(r"\[\d+\]", "[*]", path) for path in set(after) - set(before)})
+    if not (numbers or other or added):  # equal values, other bytes
+        other = ["(formatting)"]
+    return (f"{name}: {numbers} numbers changed, largest relative change {largest:.3g}; "
+            f"other changes: {sorted(other) or 'none'}; added keys: {added or 'none'}")
+
+
+if __name__ == "__main__":  # re-record the golden files, printing what each rewrite changes
     import tempfile
 
-    GOLDEN.mkdir(exist_ok=True)
-    for name, specs in (("edge_lists", _specs()), ("edge_lists_large", _large_specs())):
-        (GOLDEN / f"{name}.json").write_text(
-            json.dumps(edge_list_hashes(specs), indent=1, sort_keys=True) + "\n",
-            encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN / "compare.json").write_bytes(compare_report(Path(tmp)))
-        (GOLDEN / "compare_er_first.json").write_bytes(er_first_compare_report(Path(tmp), 1))
-        (GOLDEN / "plot_data").mkdir(exist_ok=True)
-        for name, body in plot_data(Path(tmp), 1).items():
-            (GOLDEN / "plot_data" / name).write_bytes(body)
-        (GOLDEN / "simulate.csv").write_bytes(simulate_table(Path(tmp), 1))
+        work = Path(tmp)
+        outputs = {
+            **{f"{name}.json": (json.dumps(edge_list_hashes(specs), indent=1, sort_keys=True)
+                                + "\n").encode()
+               for name, specs in (("edge_lists", _specs()), ("edge_lists_large", _large_specs()))},
+            "compare.json": compare_report(work),
+            "compare_er_first.json": er_first_compare_report(work, 1),
+            **{f"plot_data/{name}": body for name, body in plot_data(work, 1).items()},
+            "simulate.csv": simulate_table(work, 1),
+        }
+    for name, body in outputs.items():
+        path = GOLDEN / name
+        old = path.read_bytes() if path.exists() else None
+        if old == body:
+            continue
+        print(audit(name, old, body) if old is not None else f"{name}: new file")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(body)
     sys.exit(0)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import decimal
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
@@ -63,11 +65,12 @@ from netselect import (
     simulate_feature_matrix,
 )
 from netselect.inference import (
+    LOG_VANISHING,
     fix_grid_point,
-    grid_evidences,
     grid_feature_matrices,
     grid_points,
     grid_posterior,
+    log_evidences,
 )
 from netselect.seeds import derive_seed, spawn_rng
 
@@ -128,6 +131,8 @@ def test_single_kernel_evidence():
     h = 0.7
     density = Kde(np.array([0.0]), bandwidth=h)
     assert evidence(density, 0.0) == pytest.approx(1 / (h * math.sqrt(2 * math.pi)))
+    with pytest.warns(RuntimeWarning):  # z * z past the float range: -inf, not nan
+        assert Kde(np.array([0.0]), 1e-300).log_density([1e10, 0.0])[0] == -math.inf
 
 
 def test_evidence_variant_mismatch():
@@ -160,6 +165,61 @@ def test_kde_evidence_integrates_to_one():
     xs = np.linspace(values.min() - 6 * h, values.max() + 6 * h, 4001)
     ys = [density.evaluate(x) for x in xs]
     assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-3)
+
+
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582")
+
+
+def _decimal_log_density(values, bandwidth, x) -> float:
+    """log of mean_i phi((x - v_i) / h) / h, from the kernel terms
+    -((x - v_i) / h)^2 / 2 taken exactly from the floats, at 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d = decimal.Decimal
+        h = d(bandwidth)
+        terms = [-((d(x) - d(v)) / h) ** 2 / 2 for v in values]
+        top = max(terms)
+        mean = sum((t - top).exp() for t in terms) / len(terms)
+        return float(top + mean.ln() - (h * (2 * _PI).sqrt()).ln())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30), st.floats(1e-3, 1e3),
+       st.lists(st.tuples(st.integers(0, 29), st.floats(-1e3, 1e3)), min_size=1, max_size=6))
+def test_kde_log_density_equals_a_50_digit_log_mean_exp(values, bandwidth, offsets):
+    """Points up to 1e3 bandwidths from a draw: past about 38.6 every kernel
+    term of a point underflows in linear space, and its log still holds."""
+    kde = Kde(np.array(values), bandwidth)
+    xs = [values[i % len(values)] + z * bandwidth for i, z in offsets]
+    for x, got in zip(xs, kde.log_density(xs)):
+        want = _decimal_log_density(values, bandwidth, x)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=60),
+       st.lists(st.integers(-3, 25), min_size=1, max_size=10))
+def test_pmf_log_density_is_the_log_of_the_smoothed_mass(draws, xs):
+    pmf = estimate_density(discrete_samples(draws))
+    counts = Counter(draws)
+    expected = [math.log((counts[x] + 0.5) / (len(draws) + 0.5 * (len(counts) + (x not in counts))))
+                for x in xs]
+    assert pmf.log_density(xs).tolist() == expected
+    assert [pmf.evaluate(x) for x in xs] == [math.exp(e) for e in expected]
+
+
+def test_log_evidences_raise_only_for_a_feature_that_vanishes_under_every_point():
+    ld, gc = FeatureKind("link_density"), FeatureKind("global_clustering")
+    matrices = [{ld: np.array([0.10, 0.11, 0.12]), gc: np.array([0.30, 0.31, 0.33])},
+                {ld: np.array([0.80, 0.81, 0.82]), gc: np.array([0.35, 0.36, 0.38])}]
+    logs = log_evidences([(ld, 0.11), (gc, 0.33)], matrices)
+    assert logs.shape == (2, 2)
+    # link_density vanishes under the second point only: its evidence there
+    # reads 0 in linear space, and no error is raised
+    assert logs[1, 0] < LOG_VANISHING < logs[0, 0]
+    assert evidence(estimate_density(FeatureSamples(ld, matrices[1][ld])), 0.11) == 0.0
+    with pytest.raises(UndefinedBayesFactor, match="global_clustering"):
+        log_evidences([(ld, 0.11), (gc, 0.9)], matrices)
 
 
 def _percentile_bandwidth(values):
@@ -387,7 +447,7 @@ def one_family_posterior(spec, observed, n_per_point, master_seed):
     [(param, grid, matrices)] = grid_feature_matrices([spec], [kind], n_per_point,
                                                       [master_seed])
     return grid_posterior([param] * len(grid.values), grid.values,
-                          grid_evidences([(kind, observed)], matrices))
+                          log_evidences([(kind, observed)], matrices).sum(axis=1))
 
 
 def test_grid_posterior_single_point():
@@ -717,21 +777,34 @@ def test_report_json_round_trip():
     report = compare_models(data, spec1, spec2,
                             [FeatureKind("triangle_count")],
                             LossKind("quadratic"), n_samples=30, master_seed=2)
-    infinite = replace(report, features=(replace(report.features[0], bayes_factor=math.inf),),
+    fc = report.features[0]
+    infinite = replace(report, features=(replace(fc, bayes_factor=math.inf, log_evidence_2=-math.inf,
+                                                  log_bayes_factor=math.inf),),
                        combined_ratio=math.inf)
-    finite = (report.features[0].bayes_factor, report.combined_ratio)
-    for original, written in ((report, finite), (infinite, ("inf", "inf"))):
+    # a zero prior on model_1 is an odds of 0 with log -inf
+    zero_prior = compare_models(data, spec1, spec2, [FeatureKind("triangle_count")],
+                                LossKind("quadratic"), n_samples=30, master_seed=2,
+                                model_priors=(0.0, 1.0))
+    assert (zero_prior.posterior_odds, zero_prior.log_posterior_odds) == (0.0, -math.inf)
+    assert fc.log_bayes_factor == fc.log_evidence_1 - fc.log_evidence_2
+    finite = (fc.bayes_factor, fc.log_evidence_2, fc.log_bayes_factor, report.combined_ratio,
+              report.log_posterior_odds)
+    for original, written in ((report, finite),
+                              (infinite, ("inf", "-inf", "inf", "inf", report.log_posterior_odds)),
+                              (zero_prior, finite[:-1] + ("-inf",))):
         obj = json.loads(json.dumps(report_to_json(original), allow_nan=False))
-        assert (obj["features"][0]["bayes_factor"], obj["combined_ratio"]) == written
+        fj = obj["features"][0]
+        assert (fj["bayes_factor"], fj["log_evidence_2"], fj["log_bayes_factor"],
+                obj["combined_ratio"], obj["log_posterior_odds"]) == written
         assert report_from_json(obj) == original
 
 
 @pytest.mark.parametrize("key, value", [
     ("n_samples", 2.7), ("master_seed", True), ("combined_ratio", "1.5"),
     ("model_priors", [0.5, "0.5"]), ("n_samples", "30"), ("posterior_odds", "1.5"),
-    ("el_1", True),
+    ("el_1", True), ("log_posterior_odds", "1.5"), ("log_evidence_1", None),
 ], ids=["float_count", "bool_seed", "string_ratio", "string_prior", "string_count",
-        "string_odds", "bool_feature_loss"])
+        "string_odds", "bool_feature_loss", "string_log_odds", "null_log_evidence"])
 def test_report_from_json_refuses_a_number_of_the_wrong_type(key, value):
     """A top-level key, or a per-feature one (``el_1``) set on the first feature."""
     report = compare_models(generate_er(10, 0.25, np.random.default_rng(8)),

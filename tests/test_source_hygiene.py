@@ -11,7 +11,10 @@
 * ``cli._write_output`` is the only function that opens a file for writing,
   so every output file is written one way;
 * ``seeds`` is the only module that calls ``default_rng``, ``PCG64`` or
-  ``SeedSequence``, so every draw builds its generator one way.
+  ``SeedSequence``, so every draw builds its generator one way;
+* ``inference.log_evidences`` and the plot writer are the only places that
+  evaluate a density estimate, so ``compare`` and the study get their
+  evidences one way.
 """
 
 import ast
@@ -122,3 +125,19 @@ def test_only_seeds_builds_generators():
                and (node.func.attr if isinstance(node.func, ast.Attribute)
                     else getattr(node.func, "id", None)) in builders}
     assert callers == {"seeds.py"}
+
+
+def test_only_log_evidences_and_the_plot_writer_evaluate_densities():
+    """Calls of ``evidence``, ``log_evidence``, ``.log_density`` or ``.evaluate``,
+    by the top-level function or class they sit in. The evaluation primitives
+    themselves (the density classes, ``evidence`` and ``log_evidence``) call
+    one another and are left out."""
+    evaluations = {"evidence", "log_evidence", "log_density", "evaluate"}
+    primitives = {"DiscretePmf", "Kde", "evidence", "log_evidence"}
+    callers = {(mod, node.name) for mod, tree in _trees().items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name not in primitives
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and (call.func.attr if isinstance(call.func, ast.Attribute)
+                    else getattr(call.func, "id", None)) in evaluations}
+    assert callers == {("inference.py", "log_evidences"), ("cli.py", "_write_plot_data")}

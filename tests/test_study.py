@@ -22,6 +22,7 @@ from netselect import (
     study_config_to_json,
     study_results_csv,
 )
+from netselect.inference import LOG_VANISHING
 
 
 def small_config(features=("power_law_exponent",), losses=("quadratic",), n=50):
@@ -148,8 +149,8 @@ def test_study_row_pools_two_families_under_a_flat_prior():
     post = res.posterior
     assert post.params == ("p", "p") and post.values == (0.2, 0.8)
     # equal priors cancel: each point's weight is its share of the evidence
-    total = sum(post.evidences)
-    assert post.posterior_weights == pytest.approx([e / total for e in post.evidences])
+    evidences = [math.exp(e) for e in post.log_evidences]
+    assert post.posterior_weights == pytest.approx([e / sum(evidences) for e in evidences])
     assert sum(post.posterior_weights) == pytest.approx(1.0)
     assert res.window_probabilities == (post.posterior_weights[0],)
 
@@ -180,9 +181,43 @@ def test_family_whose_evidences_all_underflow_keeps_the_pooled_posterior():
         master_seed=5,
     )
     [res] = run_study(config)
-    evidences = res.posterior.evidences
-    assert evidences[:3] == pytest.approx((0.34206949851809465, 802.1556878969701,
-                                           325.2058504792653), rel=1e-12)
-    assert evidences[3:] == (0.0, 0.0)
+    logs = res.posterior.log_evidences
+    assert [math.exp(e) for e in logs[:3]] == pytest.approx(
+        (0.34206949851809465, 802.1556878969701, 325.2058504792653), rel=1e-12)
+    assert max(logs[3:]) < LOG_VANISHING  # a float evidence reads 0 at both points
     assert res.window_probabilities == (1.0,)
     assert res.posterior.posterior_weights[3:] == (0.0, 0.0)
+
+
+def test_a_family_whose_feature_products_underflow_keeps_weights_by_its_log_sums():
+    """Each feature's evidence is positive at every point of family "b" (each
+    log is above LOG_VANISHING), but their three-feature product underflows
+    at each of them. Its points keep the weights of their log sums, where a
+    product of linear evidences would read 0 for the whole family."""
+    features = (FeatureKind("link_density"), FeatureKind("global_clustering"),
+                FeatureKind("degree_entropy"))
+
+    def posterior(kinds):
+        config = StudyConfig(
+            candidates=(Candidate("a", ErdosRenyi(60, GridPrior((0.37, 0.38)))),
+                        Candidate("b", ErdosRenyi(60, GridPrior((0.3, 0.305, 0.32))))),
+            windows=(Window("p", 0.3, 0.32),),
+            rows=(StudyRow("a", ErdosRenyi(60, PointPrior(0.5)), kinds,
+                           (LossKind("quadratic"),)),),
+            n_samples=30, master_seed=4)
+        [res] = run_study(config)
+        return res
+
+    # the draws do not depend on the row's features, so one-feature rows give
+    # the columns that the three-feature row sums
+    columns = [posterior((kind,)).posterior.log_evidences for kind in features]
+    assert min(min(c) for c in columns) > LOG_VANISHING
+    res = posterior(features)
+    logs, weights = res.posterior.log_evidences, res.posterior.posterior_weights
+    assert logs == pytest.approx([sum(c) for c in zip(*columns)], rel=1e-12)
+    assert max(logs[2:]) < LOG_VANISHING
+    assert min(weights[2:]) > 0
+    for i, j in ((2, 3), (2, 4), (3, 4)):
+        assert weights[i] / weights[j] == pytest.approx(math.exp(logs[i] - logs[j]), rel=1e-9)
+    assert res.window_probabilities == (pytest.approx(sum(weights[2:]), rel=1e-12),)
+    assert sum(weights) == pytest.approx(1.0)
