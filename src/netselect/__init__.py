@@ -25,10 +25,8 @@ from .graph import (
     Graph,
     build_graph,
     connected_components,
-    induced_subgraph,
     read_edge_list,
     shortest_path_distances,
-    toggle_edge,
     write_edge_list,
 )
 from .generators import (
@@ -46,7 +44,6 @@ from .generators import (
     UniformPrior,
     equal_blocks,
     generate_er,
-    generate_from_degrees,
     generate_sbm,
     mh_loglinear_sample,
     model_spec_to_json,
@@ -87,13 +84,11 @@ from .inference import (
     estimate_density,
     evidence,
     expected_loss,
-    posterior_model_probs,
     prior_predictive,
     range_probability,
     report_features_csv,
     report_from_json,
     report_to_json,
-    shard_cells,
     silverman_bandwidth,
     simulate_feature_matrices,
     simulate_feature_matrix,
@@ -108,7 +103,6 @@ from .study import (
     parse_study_config,
     run_study,
     run_study_row,
-    study_config_to_json,
     study_results_csv,
     study_results_json,
 )

@@ -38,12 +38,12 @@ from .graph import Graph, _edge_lines, build_graph, read_edge_list, write_edge_l
 from .inference import (  # noqa: F401
     DEFAULT_SAMPLES,
     DiscretePmf,
-    FeatureSamples,
     LossKind,
     _csv,
     _json_number,
     compare_models,
     estimate_density,
+    feature_samples,
     prior_predictive,
     range_probability,
     report_features_csv,
@@ -243,16 +243,15 @@ def cmd_compare(opts: dict) -> int:
             else _dump_json(report_to_json(report)))
     _write_output(text, opts.get("out"))
     if "plot_data" in opts:
-        _write_plot_data(opts["plot_data"], report, kinds)
+        _write_plot_data(opts["plot_data"], report)
     return 0
 
 
-def _write_plot_data(plot_dir: str, report, kinds) -> None:
+def _write_plot_data(plot_dir: str, report) -> None:
     """Density and histogram CSVs per (feature, model) for offline plotting."""
     os.makedirs(plot_dir, exist_ok=True)
     for matrix, model_id in zip(report.matrices, (report.model_1, report.model_2)):
-        for kind in kinds:
-            samples = FeatureSamples(kind, matrix[kind])
+        for kind, samples in feature_samples(matrix).items():
             density = estimate_density(samples)
             base = os.path.join(plot_dir, f"{kind.name}_{model_id}")
             if isinstance(density, DiscretePmf):
@@ -286,10 +285,7 @@ def cmd_elicit(opts: dict) -> int:
     kinds = sorted({kind for kind, _, _ in ranges}, key=lambda k: k.name)
     matrices = simulate_feature_matrices(specs, kinds, n_samples, seed,
                                          opts.get("threads", 1))
-    per_model = {
-        model_id: {kind: FeatureSamples(kind, matrix[kind]) for kind in kinds}
-        for model_id, matrix in zip(ids, matrices)
-    }
+    per_model = {model_id: feature_samples(matrix) for model_id, matrix in zip(ids, matrices)}
 
     range_rows = []
     for kind, lo, hi in ranges:

@@ -62,10 +62,12 @@ class UniformPrior:
 
 @dataclass(frozen=True)
 class GridPrior:
-    """Finite set of values with normalized non-negative weights."""
+    """Finite set of values with normalized non-negative weights; ``cdf`` is
+    their running sum over its last entry, as ``rng.choice`` would compute it."""
 
     values: tuple[float, ...]
     weights: tuple[float, ...] = ()
+    cdf: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -88,6 +90,10 @@ class GridPrior:
             # read back from its own JSON keeps its weights bit for bit
             weights = tuple(w / total for w in weights)
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        object.__setattr__(self, "cdf", cdf)
 
 
 ParamPrior = Union[PointPrior, UniformPrior, GridPrior]
@@ -100,8 +106,7 @@ def sample_parameter(prior: ParamPrior, rng: np.random.Generator) -> float:
     if isinstance(prior, UniformPrior):
         return float(rng.uniform(prior.lo, prior.hi))
     if isinstance(prior, GridPrior):
-        idx = rng.choice(len(prior.values), p=np.asarray(prior.weights))
-        return float(prior.values[idx])
+        return float(prior.values[int(prior.cdf.searchsorted(rng.random(), side="right"))])
     raise InvalidSpec(f"unknown prior type {type(prior).__name__}")
 
 
@@ -602,24 +607,10 @@ def sample_powerlaw_degrees(n: int, alpha: float, d_min: int,
     return degrees
 
 
-def generate_from_degrees(degrees: Sequence[int], rng: np.random.Generator) -> Graph:
-    """Erased configuration model: pair stubs uniformly, drop self-loops and
-    duplicate pairs. Realized degrees never exceed the requested ones."""
-    degrees = np.asarray(degrees, dtype=np.int64)
-    n = len(degrees)
-    _check_n(n)
-    if degrees.min() < 0:
-        raise InvalidSpec("degrees must be non-negative")
-    if degrees.max() > n - 1:
-        raise InvalidSpec("a degree exceeds n - 1")
-    if degrees.sum() % 2 == 1:
-        raise InvalidSpec("degree sum must be even")
-    return _pair_stubs(degrees, rng)
-
-
 def _pair_stubs(degrees: np.ndarray, rng: np.random.Generator) -> Graph:
-    """``generate_from_degrees`` for an int64 sequence already known to be
-    valid, as ``sample_powerlaw_degrees`` makes them."""
+    """Erased configuration model: pair the shuffled stubs of a valid degree
+    sequence (as ``sample_powerlaw_degrees`` makes them), drop self-loops and
+    duplicate pairs. Realized degrees never exceed the requested ones."""
     n = len(degrees)
     stubs = np.arange(n).repeat(degrees)
     rng.shuffle(stubs)

@@ -3,13 +3,12 @@
 A ``Graph`` is an immutable value: its edges are the distinct pairs
 ``(lo[i], hi[i])`` with lo < hi in row-major order, and ``degrees`` is
 ``bincount(concatenate((lo, hi)))``. Every producer -- ``build_graph``,
-``read_edge_list``, ``induced_subgraph``, ``toggle_edge`` and the generators --
-hands the constructor such arrays; edits return a new graph that shares
-nothing with the old one. A graph keeps no neighbourhood structure: a kernel
-that wants one (the padded neighbour tables of ``features.diameter``, the
-packed bitsets of ``features.count_triangles``) builds it from the edge arrays
-and drops it when it returns. ``has_edge`` searches the sorted ``lo * n + hi``
-edge keys. All arrays are read-only.
+``read_edge_list`` and the generators -- hands the constructor such arrays.
+A graph keeps no neighbourhood structure: a kernel that wants one (the padded
+neighbour tables of ``features.diameter``, the packed bitsets of
+``features.count_triangles``) builds it from the edge arrays and drops it
+when it returns. ``has_edge`` checks both node ids and searches the sorted
+``lo * n + hi`` edge keys. All arrays are read-only.
 """
 
 from __future__ import annotations
@@ -64,18 +63,13 @@ class Graph:
     def __hash__(self):
         return hash((self.node_count, self.edge_count))
 
-    def _edge_index(self, u: int, v: int) -> tuple[np.ndarray, int, int]:
-        """(keys, key, i): the row-major ``lo * n + hi`` edge keys, the key of
-        the pair {u, v} and its insertion index in keys; checks both node ids."""
+    def has_edge(self, u: int, v: int) -> bool:
         _check_node(u, self.node_count)
         _check_node(v, self.node_count)
         n = self.node_count
         keys = self.lo * n + self.hi
         key = min(u, v) * n + max(u, v)
-        return keys, key, int(np.searchsorted(keys, key))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        keys, key, i = self._edge_index(u, v)
+        i = int(np.searchsorted(keys, key))
         return bool(i < len(keys) and keys[i] == key)
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -127,31 +121,6 @@ def build_graph(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
         _check_node(a, node_count)
         _check_node(b, node_count)
     return Graph(node_count, *_canonical_pairs(node_count, u, v))
-
-
-def toggle_edge(g: Graph, u: int, v: int) -> Graph:
-    """Return a copy of ``g`` with the edge (u, v) flipped."""
-    if u == v:
-        raise InvalidEdge(f"cannot toggle self-loop ({u}, {v})")
-    keys, key, i = g._edge_index(u, v)
-    if i < len(keys) and keys[i] == key:
-        keys = np.delete(keys, i)
-    else:
-        keys = np.insert(keys, i, key)
-    return Graph(g.node_count, *np.divmod(keys, g.node_count))
-
-
-def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
-    """Subgraph on ``nodes``, relabeled to 0..k-1 in ascending original id."""
-    keep = np.array(sorted(set(nodes)), dtype=np.int64)
-    bad = keep[(keep < 0) | (keep >= g.node_count)]
-    if len(bad):
-        _check_node(int(bad[0]), g.node_count)
-    relabel = np.full(g.node_count, -1, dtype=np.int64)
-    relabel[keep] = np.arange(len(keep))
-    lo, hi = relabel[g.lo], relabel[g.hi]
-    inside = (lo >= 0) & (hi >= 0)  # relabel is increasing: order is kept
-    return Graph(len(keep), lo[inside], hi[inside])
 
 
 def shortest_path_distances(g: Graph, source: int) -> list[Optional[int]]:

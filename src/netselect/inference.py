@@ -4,8 +4,8 @@ The workflow: simulate prior-predictive graphs per model, reduce each graph to
 a scalar feature, estimate the feature distribution (smoothed counts for
 discrete features, Gaussian KDE for continuous ones), evaluate the observed
 feature's evidence under each model, and combine evidence with expected-loss
-ratios into a decision. Parameter posteriors over grids, node-cell sharding
-and consensus merging of per-shard draws live here too.
+ratios into a decision. Parameter posteriors over grids and consensus
+merging of per-shard draws live here too.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .generators import (
     model_spec_to_json,
     sample_graph,
 )
-from .graph import Graph, induced_subgraph
+from .graph import Graph
 from .seeds import derive_seed, spawn_rng
 
 DEFAULT_SAMPLES = 100  # prior-predictive draws per model or grid point
@@ -79,6 +79,12 @@ class FeatureSamples:
     @property
     def n(self) -> int:
         return len(self.values)
+
+
+def feature_samples(matrix: dict) -> dict:
+    """A feature matrix (kind -> values) as kind -> FeatureSamples, so each
+    ensemble is checked once for both its evidence and its expected loss."""
+    return {kind: FeatureSamples(kind, values) for kind, values in matrix.items()}
 
 
 @dataclass(frozen=True)
@@ -217,19 +223,6 @@ def bayes_factor(ev1: float, ev2: float) -> float:
     return ev1 / ev2
 
 
-def posterior_model_probs(evidences: Sequence[float],
-                          priors: Optional[Sequence[float]] = None) -> list[float]:
-    """Posterior model probabilities: p_i proportional to evidence_i * prior_i."""
-    evidences = np.asarray(evidences, dtype=float)
-    priors = np.ones(len(evidences)) if priors is None else np.asarray(priors, dtype=float)
-    if priors.shape != evidences.shape:
-        raise InvalidInput("evidences and priors must have equal length")
-    if (priors < 0).any() or priors.sum() <= 0:
-        raise InvalidInput("priors must be non-negative with positive sum")
-    with np.errstate(divide="ignore"):  # log 0 = -inf
-        return _normalise_logs(np.log(evidences) + np.log(priors))
-
-
 def _normalise_logs(log_weights: np.ndarray) -> list[float]:
     """exp(log_weights) normalised to sum 1, shifted first so that no weight underflows alone."""
     top = np.max(log_weights)
@@ -307,18 +300,21 @@ def combined_loss_ratio(pairs: Sequence[tuple[float, float]]) -> float:
                           for el1, el2 in pairs]))
 
 
-def decide(combined_ratio: float, posterior_odds: float) -> Decision:
-    """Pick model_1 iff combined_ratio < posterior_odds; ties are indeterminate.
+def decide(combined_ratio: float, log_posterior_odds: float) -> Decision:
+    """Pick model_1 iff combined_ratio < posterior_odds, compared as logs, so
+    odds past the float range still order; ratios within a relative
+    ``DECISION_REL_TOL`` of the odds are ties, and ties are indeterminate.
 
     Orientation is fixed so that both a smaller expected loss and a larger
     posterior probability favor a model monotonically.
     """
-    if combined_ratio < 0 or posterior_odds < 0:
-        raise InvalidInput("decision inputs must be non-negative")
-    if combined_ratio == posterior_odds or math.isclose(
-            combined_ratio, posterior_odds, rel_tol=DECISION_REL_TOL, abs_tol=0.0):
+    if combined_ratio < 0:
+        raise InvalidInput("the combined ratio must be non-negative")
+    log_ratio = math.log(combined_ratio) if combined_ratio else -math.inf
+    if log_ratio == log_posterior_odds or (
+            abs(log_ratio - log_posterior_odds) <= -math.log1p(-DECISION_REL_TOL)):
         return Decision.INDETERMINATE
-    return Decision.MODEL_1 if combined_ratio < posterior_odds else Decision.MODEL_2
+    return Decision.MODEL_1 if log_ratio < log_posterior_odds else Decision.MODEL_2
 
 
 def range_probability(samples: FeatureSamples, lo: float,
@@ -600,12 +596,12 @@ def grid_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKin
 
 
 def log_evidences(observations: Sequence[tuple[FeatureKind, float]],
-                  matrices: Sequence[dict]) -> np.ndarray:
+                  samples: Sequence[dict]) -> np.ndarray:
     """The (points x features) log evidences of the observed ``(kind, value)`` pairs
-    under each point's feature matrix; a row sums to the point's log evidence. A feature
+    under each point's ``feature_samples``; a row sums to the point's log evidence. A feature
     whose log evidence is below ``LOG_VANISHING`` at every point raises UndefinedBayesFactor."""
-    logs = np.array([[log_evidence(estimate_density(FeatureSamples(kind, m[kind])), observed)
-                      for kind, observed in observations] for m in matrices])
+    logs = np.array([[log_evidence(estimate_density(s[kind]), observed)
+                      for kind, observed in observations] for s in samples])
     for (kind, _), column in zip(observations, logs.T):
         if (column < LOG_VANISHING).all():
             raise UndefinedBayesFactor(f"the evidence of {kind.name} vanishes under every model "
@@ -614,16 +610,8 @@ def log_evidences(observations: Sequence[tuple[FeatureKind, float]],
 
 
 # --------------------------------------------------------------------------
-# Cell sharding and consensus merging
+# Consensus merging of per-shard draws
 # --------------------------------------------------------------------------
-
-def shard_cells(g: Graph, cell_size: int) -> list[Graph]:
-    """Induced subgraphs over consecutive index blocks of ``cell_size`` nodes."""
-    if cell_size < 1:
-        raise InvalidInput(f"cell_size must be >= 1, got {cell_size}")
-    return [induced_subgraph(g, range(lo, min(lo + cell_size, g.node_count)))
-            for lo in range(0, g.node_count, cell_size)]
-
 
 def consensus_merge(shard_draws: Sequence[Sequence[float]]) -> np.ndarray:
     """Inverse-variance weighted elementwise merge of per-shard draw vectors.
@@ -801,7 +789,8 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
                            f"positive sum, got {model_priors}")
     matrices = simulate_feature_matrices([spec1, spec2], kinds, n_samples, master_seed, workers)
     observations = [(kind, float(extract_feature(data_graph, kind))) for kind in kinds]
-    logs = log_evidences(observations, matrices)
+    samples = [feature_samples(m) for m in matrices]
+    logs = log_evidences(observations, samples)
 
     log_bfs = logs[0] - logs[1]
     with np.errstate(over="ignore", divide="ignore"):  # exp saturates to inf; log 0 is -inf
@@ -810,7 +799,7 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
         columns = np.vstack([np.exp(logs), np.exp(log_bfs), logs, log_bfs]).T.tolist()
     comparisons = []
     for (kind, observed), (ev1, ev2, bf, log1, log2, log_bf) in zip(observations, columns):
-        el1, el2 = (expected_loss(FeatureSamples(kind, m[kind]), observed, loss) for m in matrices)
+        el1, el2 = (expected_loss(s[kind], observed, loss) for s in samples)
         comparisons.append(FeatureComparison(
             kind=kind, observed=observed, evidence_1=ev1, evidence_2=ev2, bayes_factor=bf,
             expected_loss_1=el1, expected_loss_2=el2,
@@ -824,4 +813,4 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
         master_seed=master_seed, loss=loss, features=tuple(comparisons),
         combined_ratio=combined, model_priors=tuple(model_priors),
         posterior_odds=odds, log_posterior_odds=log_odds,
-        decision=decide(combined, odds), matrices=tuple(matrices))
+        decision=decide(combined, log_odds), matrices=tuple(matrices))

@@ -18,11 +18,10 @@ import numpy as np
 from .errors import InvalidSpec
 from .features import (FeatureKind, _list_of, _object, _read, _strict_float, _strict_int,
                        _typed, extract_feature)
-from .generators import ModelSpec, model_spec_to_json, parse_model_spec, sample_graph
+from .generators import ModelSpec, parse_model_spec, sample_graph
 # estimate_density and evidence stay importable here for perfbench/spans.py to wrap.
 from .inference import (  # noqa: F401
     DEFAULT_SAMPLES,
-    FeatureSamples,
     LossKind,
     ParamPosterior,
     _csv,
@@ -31,6 +30,7 @@ from .inference import (  # noqa: F401
     estimate_density,
     evidence,
     expected_loss,
+    feature_samples,
     grid_feature_matrices,
     grid_posterior,
     log_evidences,
@@ -143,24 +143,6 @@ def parse_study_config(obj: dict) -> StudyConfig:
     return StudyConfig(*_read(obj, _STUDY, "study config").values())
 
 
-def study_config_to_json(config: StudyConfig) -> dict:
-    return {
-        "n_samples": config.n_samples,
-        "seed": config.master_seed,
-        "candidates": [{"id": c.id, "spec": model_spec_to_json(c.spec)}
-                       for c in config.candidates],
-        "windows": [{"param": w.param, "lo": w.lo, "hi": w.hi} for w in config.windows],
-        "rows": [
-            {
-                "data": {"id": r.data_id, "spec": model_spec_to_json(r.data_spec)},
-                "features": [k.to_json() for k in r.features],
-                "losses": [l.to_json() for l in r.losses],
-            }
-            for r in config.rows
-        ],
-    }
-
-
 def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
                   workers: int = 1) -> list[StudyRowResult]:
     """Evaluate one study row; returns one result per loss kind.
@@ -180,20 +162,21 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
         [derive_seed(row_seed, 1 + f) for f in range(len(config.candidates))], workers)
     observations = [(kind, float(extract_feature(data_graph, kind)))
                     for kind in row.features]
+    samples = [[feature_samples(m) for m in matrices] for _, _, matrices in families]
 
     pooled = grid_posterior(
         [param for param, grid, _ in families for _ in grid.values],
         [value for _, grid, _ in families for value in grid.values],
-        log_evidences(observations, [m for _, _, matrices in families for m in matrices])
+        log_evidences(observations, [s for family in samples for s in family])
         .sum(axis=1))
 
     ids = [cand.id for cand in config.candidates]
 
     def family_loss(cand_id: str, kind: FeatureKind, observed: float, loss: LossKind):
         """Grid-prior-weighted expected loss of one family on one feature."""
-        _, grid, matrices = families[ids.index(cand_id)]
-        return float(sum(w * expected_loss(FeatureSamples(kind, m[kind]), observed, loss)
-                         for w, m in zip(grid.weights, matrices)))
+        f = ids.index(cand_id)
+        return float(sum(w * expected_loss(s[kind], observed, loss)
+                         for w, s in zip(families[f][1].weights, samples[f])))
 
     other = next(i for i in ids if i != row.data_id)
     results = []

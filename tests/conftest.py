@@ -1,6 +1,7 @@
 import pytest
 
 import netselect.inference as inference
+from netselect import build_graph, model_spec_to_json
 
 
 @pytest.fixture(autouse=True)
@@ -20,3 +21,29 @@ def adjacency_sets(g):
         sets[u].add(v)
         sets[v].add(u)
     return sets
+
+
+def toggle_edge(g, u, v):
+    """``g`` with the pair {u, v} flipped, rebuilt by ``build_graph`` from its
+    edge set: the oracle of the change-statistic tests. A self-loop or an
+    out-of-range id raises as ``build_graph`` does."""
+    return build_graph(g.node_count, set(g.edges()) ^ {(min(u, v), max(u, v))})
+
+
+def study_config_to_json(config):
+    """The study-config JSON that ``parse_study_config`` reads ``config`` back from."""
+    return {
+        "n_samples": config.n_samples,
+        "seed": config.master_seed,
+        "candidates": [{"id": c.id, "spec": model_spec_to_json(c.spec)}
+                       for c in config.candidates],
+        "windows": [{"param": w.param, "lo": w.lo, "hi": w.hi} for w in config.windows],
+        "rows": [
+            {
+                "data": {"id": r.data_id, "spec": model_spec_to_json(r.data_spec)},
+                "features": [k.to_json() for k in r.features],
+                "losses": [l.to_json() for l in r.losses],
+            }
+            for r in config.rows
+        ],
+    }

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netselect import (
     DegreeCountTerm,
@@ -20,7 +22,6 @@ from netselect import (
     build_graph,
     equal_blocks,
     generate_er,
-    generate_from_degrees,
     generate_sbm,
     mh_loglinear_sample,
     model_spec_to_json,
@@ -31,10 +32,10 @@ from netselect import (
     sample_graph,
     sample_parameter,
     sample_powerlaw_degrees,
-    toggle_edge,
     write_edge_list,
 )
-from conftest import adjacency_sets
+from netselect.generators import _pair_stubs
+from conftest import adjacency_sets, toggle_edge
 
 
 # --------------------------------------------------------------------------
@@ -56,6 +57,20 @@ def test_uniform_prior_stays_in_range():
 def test_single_atom_grid():
     rng = np.random.default_rng(2)
     assert sample_parameter(GridPrior((9.0,), (1.0,)), rng) == 9.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=12)
+       .filter(lambda w: sum(w) > 0), st.integers(0, 2**64 - 1))
+def test_grid_draws_match_rng_choice_in_value_and_generator_state(weights, seed):
+    """The kept cdf and one uniform pick what ``rng.choice(p=weights)`` picks
+    and leave the generator where it leaves it."""
+    prior = GridPrior(tuple(float(i) for i in range(len(weights))), tuple(weights))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        expected = prior.values[ref.choice(len(prior.values), p=np.asarray(prior.weights))]
+        assert sample_parameter(prior, rng) == expected
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_grid_weights_normalize():
@@ -182,19 +197,14 @@ def test_powerlaw_rejects_infinite_mean():
 
 
 def test_config_model_single_edge():
-    g = generate_from_degrees([1, 1], np.random.default_rng(0))
+    g = _pair_stubs([1, 1], np.random.default_rng(0))
     assert g.edge_count == 1 and g.has_edge(0, 1)
 
 
 def test_config_model_erasure_upper_bound():
     for seed in range(20):
-        g = generate_from_degrees([2, 2, 2], np.random.default_rng(seed))
+        g = _pair_stubs([2, 2, 2], np.random.default_rng(seed))
         assert g.edge_count <= 3
-
-
-def test_config_model_rejects_odd_sum():
-    with pytest.raises(InvalidSpec):
-        generate_from_degrees([1, 1, 1], np.random.default_rng(0))
 
 
 def _all_stub_matchings(stubs):
@@ -222,7 +232,7 @@ def test_config_model_star_frequency_matches_enumeration():
     hits = 0
     trials = 1000
     for seed in range(trials):
-        g = generate_from_degrees(degrees, np.random.default_rng(seed))
+        g = _pair_stubs(degrees, np.random.default_rng(seed))
         realized = g.degrees
         assert np.all(realized <= np.array(degrees))
         hits += set(g.edges()) == set(star)

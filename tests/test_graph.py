@@ -6,13 +6,11 @@ from netselect import (
     InvalidNode,
     ParseError,
     build_graph,
-    induced_subgraph,
     read_edge_list,
     shortest_path_distances,
-    toggle_edge,
     write_edge_list,
 )
-from conftest import adjacency_sets
+from conftest import adjacency_sets, toggle_edge
 
 
 def k_complete(n):
@@ -105,42 +103,6 @@ def test_has_edge_checks_node_ids_as_toggle_edge_does():
             toggle_edge(g, u, v)
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(1, 1) and not g.has_edge(1, 2)
-
-
-def test_induced_subgraph_k4_to_k3():
-    sub = induced_subgraph(k_complete(4), {0, 1, 2})
-    assert sub.node_count == 3
-    assert sub.edge_count == 3
-
-
-def test_induced_subgraph_identity():
-    g = path_graph(5)
-    assert induced_subgraph(g, range(5)) == g
-
-
-def test_induced_subgraph_single_node():
-    sub = induced_subgraph(k_complete(4), {0})
-    assert sub.node_count == 1
-    assert sub.edge_count == 0
-
-
-def test_induced_subgraph_rejects_bad_node():
-    with pytest.raises(InvalidNode):
-        induced_subgraph(k_complete(3), {0, 5})
-
-
-def test_induced_subgraph_matches_brute_force():
-    rng = np.random.default_rng(23)
-    for _ in range(30):
-        n = int(rng.integers(1, 7))
-        g = random_graph(n, 0.5, rng)
-        size = int(rng.integers(1, n + 1))
-        nodes = sorted(rng.choice(n, size=size, replace=False).tolist())
-        relabel = {v: i for i, v in enumerate(nodes)}
-        expected = sorted(
-            (relabel[u], relabel[v]) for u, v in g.edges()
-            if u in relabel and v in relabel)
-        assert sorted(induced_subgraph(g, nodes).edges()) == expected
 
 
 def test_distances_on_path():

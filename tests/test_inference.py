@@ -54,18 +54,18 @@ from netselect import (
     expected_loss,
     extract_feature,
     generate_er,
-    posterior_model_probs,
     range_probability,
     report_from_json,
     report_to_json,
     sample_graph,
-    shard_cells,
     silverman_bandwidth,
     simulate_feature_matrices,
     simulate_feature_matrix,
 )
 from netselect.inference import (
     LOG_VANISHING,
+    _normalise_logs,
+    feature_samples,
     fix_grid_point,
     grid_feature_matrices,
     grid_points,
@@ -212,14 +212,14 @@ def test_log_evidences_raise_only_for_a_feature_that_vanishes_under_every_point(
     ld, gc = FeatureKind("link_density"), FeatureKind("global_clustering")
     matrices = [{ld: np.array([0.10, 0.11, 0.12]), gc: np.array([0.30, 0.31, 0.33])},
                 {ld: np.array([0.80, 0.81, 0.82]), gc: np.array([0.35, 0.36, 0.38])}]
-    logs = log_evidences([(ld, 0.11), (gc, 0.33)], matrices)
+    logs = log_evidences([(ld, 0.11), (gc, 0.33)], [feature_samples(m) for m in matrices])
     assert logs.shape == (2, 2)
     # link_density vanishes under the second point only: its evidence there
     # reads 0 in linear space, and no error is raised
     assert logs[1, 0] < LOG_VANISHING < logs[0, 0]
     assert evidence(estimate_density(FeatureSamples(ld, matrices[1][ld])), 0.11) == 0.0
     with pytest.raises(UndefinedBayesFactor, match="global_clustering"):
-        log_evidences([(ld, 0.11), (gc, 0.9)], matrices)
+        log_evidences([(ld, 0.11), (gc, 0.9)], [feature_samples(m) for m in matrices])
 
 
 def _percentile_bandwidth(values):
@@ -293,21 +293,21 @@ def test_bayes_factor_exact_enumeration_3_nodes():
 
 
 def test_posterior_probs_flat():
-    assert posterior_model_probs([0.2, 0.2]) == [0.5, 0.5]
+    assert _normalise_logs(np.log([0.2, 0.2])) == [0.5, 0.5]
 
 
 def test_posterior_probs_prior_cancels_evidence():
-    probs = posterior_model_probs([0.1, 0.9], [0.9, 0.1])
+    probs = _normalise_logs(np.log([0.1, 0.9]) + np.log([0.9, 0.1]))
     assert probs == pytest.approx([0.5, 0.5])
 
 
 def test_posterior_probs_zero_evidence():
-    assert posterior_model_probs([0.3, 0.0]) == [1.0, 0.0]
+    assert _normalise_logs(np.array([math.log(0.3), -math.inf])) == [1.0, 0.0]
 
 
 def test_posterior_undefined_when_all_zero():
     with pytest.raises(UndefinedPosterior):
-        posterior_model_probs([0.0, 0.0])
+        _normalise_logs(np.array([-math.inf, -math.inf]))
 
 
 # --------------------------------------------------------------------------
@@ -363,14 +363,18 @@ def test_combined_ratio_degenerate():
 
 
 def test_decide_rule():
-    assert decide(0.5, 1.0) is Decision.MODEL_1
-    assert decide(2.0, 1.0) is Decision.MODEL_2
-    assert decide(1.0, 1.0) is Decision.INDETERMINATE
+    assert decide(0.5, 0.0) is Decision.MODEL_1  # log odds 0: even odds
+    assert decide(2.0, 0.0) is Decision.MODEL_2
+    assert decide(1.0, 0.0) is Decision.INDETERMINATE
+    # ties: within a relative DECISION_REL_TOL (1e-9) of the odds
+    assert decide(1.0 + 1e-10, 0.0) is Decision.INDETERMINATE
+    assert decide(1.0 + 1e-8, 0.0) is Decision.MODEL_2
+    assert decide(1.0 - 1e-8, 0.0) is Decision.MODEL_1
 
 
 def test_decide_flips_exactly_once():
-    odds = 1.7
-    decisions = [decide(x, odds) for x in np.linspace(0.01, 4.0, 200)]
+    log_odds = math.log(1.7)
+    decisions = [decide(x, log_odds) for x in np.linspace(0.01, 4.0, 200)]
     flips = sum(1 for a, b in zip(decisions, decisions[1:]) if a != b)
     assert flips == 1
     assert decisions[0] is Decision.MODEL_1 and decisions[-1] is Decision.MODEL_2
@@ -379,6 +383,26 @@ def test_decide_flips_exactly_once():
 def test_decide_with_infinite_odds():
     assert decide(5.0, math.inf) is Decision.MODEL_1
     assert decide(math.inf, math.inf) is Decision.INDETERMINATE
+    # exp(1025.3) overflows to inf, where it would tie an infinite ratio; its
+    # log is finite, so an infinite ratio exceeds it
+    assert decide(math.inf, 1025.3) is Decision.MODEL_2
+    assert decide(0.0, -1025.3) is Decision.MODEL_1
+    assert decide(0.0, -math.inf) is Decision.INDETERMINATE
+
+
+def test_an_infinite_loss_ratio_orders_against_odds_past_the_float_range():
+    """K_{30,30} has no triangle, and ER(60, 0.001) draws none either, so its
+    triangle loss is 0 and the combined ratio inf; its link densities lie far
+    below 0.5, so the log odds (about 4.2e6) overflow exp. Compared as logs
+    the ratio exceeds the odds: model_2, where inf against inf tied."""
+    data = build_graph(60, [(u, v) for u in range(30) for v in range(30, 60)])
+    report = compare_models(data, ErdosRenyi(60, UniformPrior(0.45, 0.55)),
+                            ErdosRenyi(60, PointPrior(0.001)),
+                            [FeatureKind("link_density"), FeatureKind("triangle_count")],
+                            LossKind("quadratic"), 50, 3)
+    assert report.combined_ratio == report.posterior_odds == math.inf
+    assert 1e6 < report.log_posterior_odds < math.inf
+    assert report.decision is Decision.MODEL_2
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +471,8 @@ def one_family_posterior(spec, observed, n_per_point, master_seed):
     [(param, grid, matrices)] = grid_feature_matrices([spec], [kind], n_per_point,
                                                       [master_seed])
     return grid_posterior([param] * len(grid.values), grid.values,
-                          log_evidences([(kind, observed)], matrices).sum(axis=1))
+                          log_evidences([(kind, observed)], [feature_samples(m) for m in matrices])
+                          .sum(axis=1))
 
 
 def test_grid_posterior_single_point():
@@ -509,26 +534,8 @@ def test_mc_evidence_matches_exact_enumeration():
 
 
 # --------------------------------------------------------------------------
-# Sharding and consensus merging
+# Consensus merging
 # --------------------------------------------------------------------------
-
-def test_shard_sizes():
-    g = generate_er(25, 0.2, np.random.default_rng(1))
-    shards = shard_cells(g, 10)
-    assert [s.node_count for s in shards] == [10, 10, 5]
-
-
-def test_shard_identity_when_cell_covers_graph():
-    g = generate_er(8, 0.3, np.random.default_rng(2))
-    shards = shard_cells(g, 20)
-    assert len(shards) == 1 and shards[0] == g
-
-
-def test_shards_partition_nodes():
-    g = generate_er(23, 0.2, np.random.default_rng(3))
-    shards = shard_cells(g, 7)
-    assert sum(s.node_count for s in shards) == 23
-
 
 def test_consensus_single_shard_identity():
     draws = np.array([1.0, 2.0, 3.0])

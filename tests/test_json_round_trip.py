@@ -1,8 +1,8 @@
 """Every JSON writer's output reads back to an equal object: model specs (all
 four families, with memberships, edge_probs matrices, all four concordance
-terms and burn_in/thin), priors, feature kinds, losses and study configs.
-Each object also passes through ``json.dumps``/``json.loads``, as a file
-would."""
+terms and burn_in/thin), priors, feature kinds and losses; and the study-config
+reader reads back what the tests' ``study_config_to_json`` writes. Each
+object also passes through ``json.dumps``/``json.loads``, as a file would."""
 
 import json
 
@@ -33,8 +33,8 @@ from netselect import (
     parse_prior,
     parse_study_config,
     prior_to_json,
-    study_config_to_json,
 )
+from conftest import study_config_to_json
 
 TOKENS = ["degree_entropy", "power_law_exponent", "block_count", "triangle_count",
           "diameter", "link_density", "global_clustering"]

@@ -6,6 +6,10 @@
   helper is defined twice;
 * every module attribute that ``perfbench/spans.py`` wraps still resolves, so
   a deletion in ``src`` cannot break a traced benchmark run unnoticed;
+* every name ``netselect/__init__.py`` exports is used in the package besides
+  its own definition, or is wrapped by the benchmark's tracer, or is library
+  API on the short list below, so a function only its tests call does not
+  linger in ``src``;
 * ``Graph`` holds only its edge arrays and what is derived from them at once,
   so a kernel's structure is not cached on every graph unnoticed;
 * ``cli._write_output`` is the only function that opens a file for writing,
@@ -74,12 +78,17 @@ def test_no_function_or_class_is_defined_in_two_modules():
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
-def test_every_name_the_benchmark_tracer_wraps_resolves_and_is_restored():
+def _tracer():
+    """A fresh ``Tracer`` of ``perfbench/spans.py``, not installed."""
     spec = importlib.util.spec_from_file_location("perfbench_spans",
                                                   ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    return spans.Tracer()
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves_and_is_restored():
+    tracer = _tracer()
     tracer.install()  # getattr raises if a wrapped name is gone
     wrapped = list(tracer._restore)
     try:
@@ -89,6 +98,32 @@ def test_every_name_the_benchmark_tracer_wraps_resolves_and_is_restored():
     finally:
         tracer.uninstall()
     assert all(getattr(module, attr) is real for module, attr, real in wrapped)
+
+
+#: Exported names that no command reaches, kept as library API.
+LIBRARY_API = {
+    "bayes_factor",  # the evidence ratio of the criteria and the inference tests
+    "consensus_merge",  # the per-shard draw merge of a criterion
+    "generate_sbm",  # the block-model draw of a given membership, for the criteria
+    "report_from_json",  # the reader of the report JSON that compare writes
+}
+
+
+def test_every_exported_name_is_used_in_the_package_wrapped_or_library_api():
+    trees = _trees()
+    exported = {alias.asname or alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uses = sum((_uses(t) for t in trees.values()), Counter())
+    for tree in trees.values():  # a use inside the name's own definition does not count
+        for node in tree.body:
+            for name in _defined_names(node):
+                uses[name] -= _uses(node)[name]
+    tracer = _tracer()
+    tracer.install()
+    wrapped = {attr for _, attr, _ in tracer._restore}
+    tracer.uninstall()
+    assert sorted(name for name in exported
+                  if uses[name] <= 0 and name not in wrapped | LIBRARY_API) == []
 
 
 def test_graph_holds_only_its_edge_arrays_degrees_and_triangle_memo():

@@ -19,10 +19,10 @@ from netselect import (
     parse_study_config,
     run_study,
     run_study_row,
-    study_config_to_json,
     study_results_csv,
 )
 from netselect.inference import LOG_VANISHING
+from conftest import study_config_to_json
 
 
 def small_config(features=("power_law_exponent",), losses=("quadratic",), n=50):
