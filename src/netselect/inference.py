@@ -609,6 +609,21 @@ def log_evidences(observations: Sequence[tuple[FeatureKind, float]],
     return logs
 
 
+def score(observations: Sequence[tuple[FeatureKind, float]],
+          groups: Sequence[Sequence[tuple[float, dict]]],
+          losses: Sequence[LossKind]) -> tuple[np.ndarray, list[list[list[float]]]]:
+    """Score observed ``(kind, value)`` pairs against groups of weighted
+    hypotheses, each a (weight, feature matrix) pair: one model of weight 1.0
+    in ``compare``, the grid points of a family with their grid weights in a
+    study row. Returns ``log_evidences`` over all hypotheses in order, and per
+    loss, group and feature the weighted expected loss, summed left to right
+    from 0, so a one-model group of weight 1.0 reads its expected loss exactly."""
+    samples = [[(w, feature_samples(m)) for w, m in group] for group in groups]
+    logs = log_evidences(observations, [s for group in samples for _, s in group])
+    return logs, [[[float(sum(w * expected_loss(s[kind], observed, loss) for w, s in group))
+                    for kind, observed in observations] for group in samples] for loss in losses]
+
+
 # --------------------------------------------------------------------------
 # Consensus merging of per-shard draws
 # --------------------------------------------------------------------------
@@ -789,8 +804,7 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
                            f"positive sum, got {model_priors}")
     matrices = simulate_feature_matrices([spec1, spec2], kinds, n_samples, master_seed, workers)
     observations = [(kind, float(extract_feature(data_graph, kind))) for kind in kinds]
-    samples = [feature_samples(m) for m in matrices]
-    logs = log_evidences(observations, samples)
+    logs, [el_rows] = score(observations, [[(1.0, m)] for m in matrices], [loss])
 
     log_bfs = logs[0] - logs[1]
     with np.errstate(over="ignore", divide="ignore"):  # exp saturates to inf; log 0 is -inf
@@ -798,8 +812,8 @@ def compare_models(data_graph: Graph, spec1: ModelSpec, spec2: ModelSpec,
         odds = float(np.exp(log_odds))
         columns = np.vstack([np.exp(logs), np.exp(log_bfs), logs, log_bfs]).T.tolist()
     comparisons = []
-    for (kind, observed), (ev1, ev2, bf, log1, log2, log_bf) in zip(observations, columns):
-        el1, el2 = (expected_loss(s[kind], observed, loss) for s in samples)
+    for (kind, observed), (ev1, ev2, bf, log1, log2, log_bf), el1, el2 in zip(
+            observations, columns, *el_rows):
         comparisons.append(FeatureComparison(
             kind=kind, observed=observed, evidence_1=ev1, evidence_2=ev2, bayes_factor=bf,
             expected_loss_1=el1, expected_loss_2=el2,

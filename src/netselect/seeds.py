@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInput
+
 
 def _seed_words(master_seed: int, key: tuple) -> np.ndarray:
     """The 128-bit child seed of (master_seed, key) as four 32-bit words, low
     word first, which is how ``SeedSequence`` reads an integer."""
+    if master_seed < 0:
+        raise InvalidInput(f"master seed must be a non-negative integer, got {master_seed}")
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
     return ss.generate_state(4, np.uint32)[[2, 3, 0, 1]]
 

@@ -19,7 +19,7 @@ from .errors import InvalidSpec
 from .features import (FeatureKind, _list_of, _object, _read, _strict_float, _strict_int,
                        _typed, extract_feature)
 from .generators import ModelSpec, parse_model_spec, sample_graph
-# estimate_density and evidence stay importable here for perfbench/spans.py to wrap.
+# estimate_density, evidence and expected_loss stay importable here for perfbench/spans.py to wrap.
 from .inference import (  # noqa: F401
     DEFAULT_SAMPLES,
     LossKind,
@@ -30,10 +30,10 @@ from .inference import (  # noqa: F401
     estimate_density,
     evidence,
     expected_loss,
-    feature_samples,
     grid_feature_matrices,
+    grid_points,
     grid_posterior,
-    log_evidences,
+    score,
 )
 from .seeds import derive_seed, spawn_rng
 
@@ -151,8 +151,14 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
     f's simulations use derive_seed(master, row, 1 + f). All grid points of
     both families form one flat-prior hypothesis grid; multi-feature rows
     sum per-point log evidences (features treated as independent) and
-    average per-feature loss ratios.
+    average per-feature loss ratios. A window over a parameter that no
+    candidate grids raises InvalidSpec before anything is drawn.
     """
+    gridded = [grid_points(cand.spec)[0] for cand in config.candidates]
+    for w in config.windows:
+        if w.param not in gridded:
+            raise InvalidSpec(f"window {w.label} is over {w.param!r}, which no candidate "
+                              f"family grids (they grid {gridded})")
     row_seed = derive_seed(config.master_seed, row_index)
     data_graph = sample_graph(row.data_spec, spawn_rng(row_seed, 0))
 
@@ -162,37 +168,21 @@ def run_study_row(row: StudyRow, config: StudyConfig, row_index: int,
         [derive_seed(row_seed, 1 + f) for f in range(len(config.candidates))], workers)
     observations = [(kind, float(extract_feature(data_graph, kind)))
                     for kind in row.features]
-    samples = [[feature_samples(m) for m in matrices] for _, _, matrices in families]
-
+    logs, loss_rows = score(observations, [list(zip(grid.weights, matrices))
+                                           for _, grid, matrices in families], row.losses)
     pooled = grid_posterior(
         [param for param, grid, _ in families for _ in grid.values],
-        [value for _, grid, _ in families for value in grid.values],
-        log_evidences(observations, [s for family in samples for s in family])
-        .sum(axis=1))
-
-    ids = [cand.id for cand in config.candidates]
-
-    def family_loss(cand_id: str, kind: FeatureKind, observed: float, loss: LossKind):
-        """Grid-prior-weighted expected loss of one family on one feature."""
-        f = ids.index(cand_id)
-        return float(sum(w * expected_loss(s[kind], observed, loss)
-                         for w, s in zip(families[f][1].weights, samples[f])))
-
-    other = next(i for i in ids if i != row.data_id)
+        [value for _, grid, _ in families for value in grid.values], logs.sum(axis=1))
+    windows = tuple(pooled.window_probability(w.param, w.lo, w.hi) for w in config.windows)
+    data = [cand.id for cand in config.candidates].index(row.data_id)  # the other is 1 - data
     results = []
-    for loss in row.losses:
-        ratios = [_loss_ratio(family_loss(other, kind, observed, loss),
-                              family_loss(row.data_id, kind, observed, loss),
-                              f"for {kind.name} in study row {row_index}")
-                  for kind, observed in observations]
-        results.append(StudyRowResult(
-            data_id=row.data_id,
-            loss=loss,
-            features=row.features,
-            loss_ratio=float(np.mean(ratios)),
-            window_probabilities=tuple(
-                pooled.window_probability(w.param, w.lo, w.hi) for w in config.windows),
-            posterior=pooled))
+    for loss, family_losses in zip(row.losses, loss_rows):
+        ratios = [_loss_ratio(el_other, el_data, f"for {kind.name} in study row {row_index}")
+                  for (kind, _), el_other, el_data
+                  in zip(observations, family_losses[1 - data], family_losses[data])]
+        results.append(StudyRowResult(data_id=row.data_id, loss=loss, features=row.features,
+                                      loss_ratio=float(np.mean(ratios)),
+                                      window_probabilities=windows, posterior=pooled))
     return results
 
 

@@ -602,6 +602,34 @@ def test_simulate_refuses_two_windows_of_one_label(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("param", ["beta", "p"])
+def test_simulate_refuses_a_window_over_a_parameter_no_family_grids(tmp_path, capsys, param):
+    study = json.loads(Path(study_config(tmp_path, n=30, samples=5)).read_text())
+    study["windows"].append({"param": param, "lo": 0, "hi": 10})
+    out = tmp_path / "table.csv"
+    assert run_cli(["simulate", "--config", write_json(tmp_path / "s.json", study),
+                    "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"window P({param} in [0..10]) is over '{param}'" in err and "'alpha', 'k'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_negative_master_seed_is_an_input_error(tmp_path, capsys, threads):
+    data = make_data_graph(tmp_path, {"type": "er", "n": 12, "p": 0.4})
+    m = write_json(tmp_path / "m.json", {"type": "er", "n": 12, "p": 0.4})
+    capsys.readouterr()
+    assert run_cli(["compare", "--data", data, "--model", m, "--model2", m,
+                    "--features", "link_density", "--samples", 4, "--seed", -5,
+                    "--threads", threads]) == 2
+    assert "master seed must be a non-negative integer, got -5" in capsys.readouterr().err
+    study = json.loads(Path(study_config(tmp_path, n=30, samples=5)).read_text())
+    study["seed"] = -1
+    assert run_cli(["simulate", "--config", write_json(tmp_path / "s.json", study),
+                    "--threads", threads]) == 2
+    assert "master seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, config", [(["--threads", "0"], None), (["--threads", "-5"], None),
                                           ([], {"threads": 0})])
 def test_a_thread_count_below_one_is_an_input_error(tmp_path, capsys, argv, config):

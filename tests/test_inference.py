@@ -71,6 +71,7 @@ from netselect.inference import (
     grid_points,
     grid_posterior,
     log_evidences,
+    score,
 )
 from netselect.seeds import derive_seed, spawn_rng
 
@@ -220,6 +221,41 @@ def test_log_evidences_raise_only_for_a_feature_that_vanishes_under_every_point(
     assert evidence(estimate_density(FeatureSamples(ld, matrices[1][ld])), 0.11) == 0.0
     with pytest.raises(UndefinedBayesFactor, match="global_clustering"):
         log_evidences([(ld, 0.11), (gc, 0.9)], [feature_samples(m) for m in matrices])
+
+
+#: One hypothesis: paired (triangle_count, link_density) draws.
+_HYPOTHESIS = st.lists(st.tuples(st.integers(0, 8).map(float), st.floats(0, 1)),
+                       min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.floats(0.01, 5), _HYPOTHESIS), min_size=1, max_size=4),
+                min_size=1, max_size=3),
+       st.integers(0, 10), st.floats(0, 0.5))
+def test_score_weighs_expected_losses_left_to_right_and_logs_as_log_evidences(
+        raw_groups, observed_count, tolerance):
+    tc, ld = FeatureKind("triangle_count"), FeatureKind("link_density")
+    # each group's weights are grid weights: normalised as a GridPrior normalises them
+    groups = [list(zip(GridPrior(tuple(range(len(g))), tuple(w for w, _ in g)).weights,
+                       ({tc: np.array([c for c, _ in draws]), ld: np.array([d for _, d in draws])}
+                        for _, draws in g)))
+              for g in raw_groups]
+    # link_density is observed at a draw, so its evidence cannot vanish everywhere
+    observations = [(tc, float(observed_count)), (ld, float(groups[0][0][1][ld][0]))]
+    losses = [LossKind("quadratic"), LossKind("absolute"), LossKind("zero_one", tolerance)]
+
+    logs, group_losses = score(observations, groups, losses)
+    matrices = [m for group in groups for _, m in group]
+    assert logs.tolist() == log_evidences(observations,
+                                          [feature_samples(m) for m in matrices]).tolist()
+    assert group_losses == [[[float(sum(w * expected_loss(FeatureSamples(kind, m[kind]),
+                                                          observed, loss) for w, m in group))
+                              for kind, observed in observations] for group in groups]
+                            for loss in losses]
+    _, single = score(observations, [[(1.0, m)] for m in matrices], losses)
+    assert single == [[[expected_loss(FeatureSamples(kind, m[kind]), observed, loss)
+                        for kind, observed in observations] for m in matrices]
+                      for loss in losses]
 
 
 def _percentile_bandwidth(values):

@@ -18,7 +18,9 @@
   ``SeedSequence``, so every draw builds its generator one way;
 * ``inference.log_evidences`` and the plot writer are the only places that
   evaluate a density estimate, so ``compare`` and the study get their
-  evidences one way.
+  evidences one way;
+* ``inference.score`` is the only function that calls ``expected_loss``, so
+  ``compare`` and the study weigh their expected losses one way.
 """
 
 import ast
@@ -162,17 +164,26 @@ def test_only_seeds_builds_generators():
     assert callers == {"seeds.py"}
 
 
+def _callers(names: set, skip: frozenset = frozenset()) -> set:
+    """The (module, top-level function or class) pairs whose body calls one of
+    ``names``, as a bare name or as an attribute; those named in ``skip`` are
+    left out."""
+    return {(mod, node.name) for mod, tree in _trees().items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in skip
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and (call.func.attr if isinstance(call.func, ast.Attribute)
+                 else getattr(call.func, "id", None)) in names}
+
+
 def test_only_log_evidences_and_the_plot_writer_evaluate_densities():
     """Calls of ``evidence``, ``log_evidence``, ``.log_density`` or ``.evaluate``,
     by the top-level function or class they sit in. The evaluation primitives
     themselves (the density classes, ``evidence`` and ``log_evidence``) call
     one another and are left out."""
-    evaluations = {"evidence", "log_evidence", "log_density", "evaluate"}
-    primitives = {"DiscretePmf", "Kde", "evidence", "log_evidence"}
-    callers = {(mod, node.name) for mod, tree in _trees().items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name not in primitives
-               for call in ast.walk(node) if isinstance(call, ast.Call)
-               and (call.func.attr if isinstance(call.func, ast.Attribute)
-                    else getattr(call.func, "id", None)) in evaluations}
-    assert callers == {("inference.py", "log_evidences"), ("cli.py", "_write_plot_data")}
+    assert _callers({"evidence", "log_evidence", "log_density", "evaluate"},
+                    frozenset({"DiscretePmf", "Kde", "evidence", "log_evidence"})) == {
+        ("inference.py", "log_evidences"), ("cli.py", "_write_plot_data")}
+
+
+def test_only_the_scorer_computes_expected_losses():
+    assert _callers({"expected_loss"}) == {("inference.py", "score")}

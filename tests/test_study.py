@@ -85,6 +85,22 @@ def test_a_study_refuses_two_windows_of_one_label():
         parse_study_config(obj)
 
 
+@pytest.mark.parametrize("param", ["beta", "p"])
+def test_a_study_row_refuses_a_window_over_a_parameter_no_family_grids(monkeypatch, param):
+    # "beta" is a typo; "p" is a parameter, but neither family grids it. Each
+    # would read 0.0 on every row, so the row refuses before drawing anything.
+    import netselect.study as study
+
+    def no_draw(*args):
+        raise AssertionError("a refused window must cost no simulation")
+
+    monkeypatch.setattr(study, "sample_graph", no_draw)
+    monkeypatch.setattr(study, "grid_feature_matrices", no_draw)
+    config = replace(small_config(), windows=(Window("alpha", 2.9, 3.1), Window(param, 0, 10)))
+    with pytest.raises(InvalidSpec, match=rf"window P\({param} in \[0\.\.10\]\).*'alpha', 'k'"):
+        run_study_row(config.rows[0], config, 0)
+
+
 def test_run_study_structure_and_normalization():
     config = small_config(losses=("quadratic", "absolute"))
     results = run_study(config)
