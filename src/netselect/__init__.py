@@ -44,7 +44,6 @@ from .generators import (
     UniformPrior,
     equal_blocks,
     generate_er,
-    generate_sbm,
     mh_loglinear_sample,
     model_spec_to_json,
     parse_model_spec,
@@ -62,7 +61,6 @@ from .features import (
     diameter,
     estimate_block_count,
     extract_feature,
-    fit_power_law_mle,
     global_clustering,
     link_density,
     power_law_mle,

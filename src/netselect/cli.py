@@ -62,7 +62,10 @@ _INDETERMINATE_ERRORS = (UndefinedBayesFactor, UndefinedPosterior, DegenerateRat
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InvalidSpec(f"{path}: JSON nested too deeply to read") from None
 
 
 def _write_output(text: str, path: Optional[str]) -> None:

@@ -177,11 +177,6 @@ def power_law_mle(values, d_min: int) -> float:
     return float(1.0 + len(included) / np.log(included / (d_min - 0.5)).sum())
 
 
-def fit_power_law_mle(g: Graph, d_min: int = DEFAULT_D_MIN) -> float:
-    """Power-law exponent fitted to the degree sequence (degrees >= d_min)."""
-    return power_law_mle(g.degrees, d_min)
-
-
 def _lapack():
     """``scipy.linalg``, imported on first use: only block_count needs it.
 
@@ -481,7 +476,7 @@ def extract_feature(g: Graph, kind: FeatureKind):
 #: whether its values are integers).
 _FEATURES = {
     "degree_entropy": (lambda g, kind: degree_entropy(g), False),
-    "power_law_exponent": (lambda g, kind: fit_power_law_mle(g, kind.d_min), False),
+    "power_law_exponent": (lambda g, kind: power_law_mle(g.degrees, kind.d_min), False),
     "block_count": (lambda g, kind: estimate_block_count(g, kind.k_max), True),
     "triangle_count": (lambda g, kind: count_triangles(g), True),
     "diameter": (lambda g, kind: diameter(g), True),

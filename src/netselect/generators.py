@@ -23,13 +23,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .errors import InvalidInput, InvalidSpec
-from .features import (_list_of, _object, _read, _strict_float, _strict_int, _typed,
-                       count_triangles)
+from .features import _list_of, _object, _read, _strict_float, _strict_int, _typed
 from .graph import Graph, _canonical_pairs
 
 _PAIR_CHUNK = 1 << 20  # max pairs in one block of a pair draw (one row at least)
@@ -123,7 +122,7 @@ def prior_support(prior: ParamPrior) -> tuple[float, float]:
 # Concordance terms for the log-linear model
 # --------------------------------------------------------------------------
 #
-# ``value(g)`` is the statistic f(G). ``delta`` is its change statistic
+# Each term is a statistic f(G), held as its change statistic ``delta``
 # (Hunter et al., "ergm", JSS 2008): f(G with pair {u, v} toggled) - f(G),
 # computed from scalars only. ``sign`` is +1 if the toggle adds the edge and
 # -1 if it removes it; ``common`` is the number of common neighbours of u
@@ -133,9 +132,6 @@ def prior_support(prior: ParamPrior) -> tuple[float, float]:
 class EdgeCountTerm:
     """f(G) = number of edges."""
 
-    def value(self, g: Graph) -> float:
-        return float(g.edge_count)
-
     def delta(self, sign: int, common: int, du: int, dv: int, u: int, v: int) -> float:
         return float(sign)
 
@@ -143,9 +139,6 @@ class EdgeCountTerm:
 @dataclass(frozen=True)
 class TriangleCountTerm:
     """f(G) = number of triangles."""
-
-    def value(self, g: Graph) -> float:
-        return float(count_triangles(g))
 
     def delta(self, sign: int, common: int, du: int, dv: int, u: int, v: int) -> float:
         return float(sign * common)
@@ -160,9 +153,6 @@ class DegreeCountTerm:
     def __post_init__(self):
         if self.degree < 0:
             raise InvalidSpec("degree target must be non-negative")
-
-    def value(self, g: Graph) -> float:
-        return float(np.count_nonzero(g.degrees == self.degree))
 
     def delta(self, sign: int, common: int, du: int, dv: int, u: int, v: int) -> float:
         d = self.degree
@@ -179,9 +169,6 @@ class IndividualEdgeTerm:
     def __post_init__(self):
         if self.u == self.v:
             raise InvalidSpec("individual-edge term cannot be a self-loop")
-
-    def value(self, g: Graph) -> float:
-        return 1.0 if g.has_edge(self.u, self.v) else 0.0
 
     def delta(self, sign: int, common: int, du: int, dv: int, u: int, v: int) -> float:
         return float(sign) if {u, v} == {self.u, self.v} else 0.0
@@ -237,6 +224,10 @@ class Sbm:
         _check_n(self.n)
         if isinstance(self.k, ParamPrior):
             lo, hi = prior_support(self.k)
+            fixed = self.k.values if isinstance(self.k, GridPrior) else (lo, hi)
+            if not isinstance(self.k, UniformPrior) and any(v != int(v) for v in fixed):
+                raise InvalidSpec(f"block count point and grid values must be integers, "
+                                  f"got {prior_to_json(self.k)}")
         else:
             object.__setattr__(self, "k", int(self.k))
             lo = hi = self.k
@@ -562,20 +553,6 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
         raise InvalidSpec(f"edge probability {p} outside [0, 1]")
     _check_n(n)
     return _sample_pair_graph(n, lambda iu, ju: p, rng)
-
-
-def generate_sbm(n: int, k: int, membership: Sequence[int], edge_probs,
-                 rng: np.random.Generator) -> Graph:
-    """Block-model draw: pair (u, v) is an edge w.p. edge_probs[z_u][z_v]."""
-    _check_n(n)
-    mat = np.asarray(edge_probs, dtype=float)
-    z = np.asarray(membership, dtype=np.int64)
-    _validate_edge_probs(mat, k)
-    if z.shape != (n,):
-        raise InvalidSpec(f"membership must have length {n}")
-    if z.min() < 0 or z.max() >= k:
-        raise InvalidSpec("membership labels must lie in [0, K)")
-    return _sample_pair_graph(n, lambda iu, ju: mat[z[iu], z[ju]], rng)
 
 
 def equal_blocks(n: int, k: int) -> np.ndarray:

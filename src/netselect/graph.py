@@ -22,6 +22,8 @@ import numpy as np
 from .errors import InvalidEdge, InvalidNode, ParseError
 
 _HEADER_RE = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
+#: The most nodes whose pair keys ``lo * n + hi`` (at most n(n-1) - 1) fit int64.
+_MAX_NODES = 3_037_000_500
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +105,13 @@ def build_graph(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Construct a graph from an edge list, deduplicating repeated edges.
 
     Raises InvalidEdge on self-loops and InvalidNode on out-of-range ids,
-    naming the first offending edge.
+    naming the first offending edge, and on a node count beyond ``_MAX_NODES``.
     """
     if node_count < 0:
         raise InvalidNode(f"node_count must be non-negative, got {node_count}")
+    if node_count > _MAX_NODES:
+        raise InvalidNode(f"node_count {node_count} is above {_MAX_NODES}, the most "
+                          f"whose node pairs fit 64-bit keys")
     pairs = np.array(list(edges), dtype=np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)

@@ -112,9 +112,6 @@ class DiscretePmf:
                                   / (self.n + PSEUDO_COUNT * (len(self.counts) + (x not in self.counts))))
                          for x in map(float, xs)])
 
-    def evaluate(self, x: float) -> float:
-        return math.exp(self.log_density([x])[0])
-
 
 @dataclass(frozen=True, eq=False)
 class Kde:
@@ -139,9 +136,6 @@ class Kde:
         top = np.maximum(terms.max(axis=1), np.finfo(float).min)
         return (top + np.log(np.mean(np.exp(terms - top[:, None]), axis=1))
                 - math.log(self.bandwidth * math.sqrt(2 * math.pi)))
-
-    def evaluate(self, x: float) -> float:
-        return math.exp(self.log_density([x])[0])
 
 
 DensityEstimate = Union[DiscretePmf, Kde]
@@ -575,7 +569,7 @@ def grid_points(spec: ModelSpec) -> tuple[str, GridPrior]:
 
 def fix_grid_point(spec: ModelSpec, param: str, value: float) -> ModelSpec:
     """Copy of ``spec`` with the gridded parameter pinned to one value."""
-    return replace(spec, **{param: int(round(value)) if param == "k" else PointPrior(value)})
+    return replace(spec, **{param: int(value) if param == "k" else PointPrior(value)})
 
 
 def grid_feature_matrices(specs: Sequence[ModelSpec], kinds: Sequence[FeatureKind],

@@ -39,13 +39,12 @@ from netselect import (
     degree_entropy,
     derive_seed,
     diameter,
-    equal_blocks,
     estimate_block_count,
     estimate_density,
     evidence,
     generate_er,
-    generate_sbm,
     mh_loglinear_sample,
+    sample_graph,
 )
 from netselect.cli import main as cli_main
 from netselect.study import run_study_row
@@ -242,11 +241,10 @@ def test_criterion_6_feature_extractor_oracles():
     entropy_ok = all(degree_entropy(g) == 0.0 for g in regulars)
 
     # Spectral block count recovers a strongly planted K=4 partition.
-    probs = np.full((4, 4), 0.01) + np.eye(4) * 0.49
+    planted = Sbm(200, 4, edge_probs=tuple(map(tuple, np.full((4, 4), 0.01) + np.eye(4) * 0.49)))
     hits = sum(
         estimate_block_count(
-            generate_sbm(200, 4, equal_blocks(200, 4), probs,
-                         np.random.default_rng(derive_seed(SUITE_SEED, 3, s))),
+            sample_graph(planted, np.random.default_rng(derive_seed(SUITE_SEED, 3, s))),
             8) == 4
         for s in range(100))
     block_ok = hits >= 95
@@ -265,7 +263,7 @@ def test_criterion_7_statistical_invariants():
         FeatureSamples(FeatureKind("degree_entropy"), values))
     h = density.bandwidth
     xs = np.linspace(values.min() - 6 * h, values.max() + 6 * h, 4001)
-    integral = float(np.trapezoid([density.evaluate(x) for x in xs], xs))
+    integral = float(np.trapezoid([evidence(density, x) for x in xs], xs))
     kde_ok = abs(integral - 1.0) < 1e-3
 
     # Discrete evidence is strictly positive, seen or unseen.

@@ -1008,6 +1008,43 @@ def test_the_kept_parser_carries_no_values_between_calls():
     assert bare.pop("command") == "compare" and set(bare.values()) == {None}
 
 
+@pytest.mark.parametrize("flag", ["--config", "--model"])
+def test_a_json_file_nested_too_deeply_is_an_input_error(tmp_path, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)  # beyond what json.dumps can build
+    argv = {"--config": ["features", "--config", deep, "--data", "g.tsv"],
+            "--model": ["generate", "--model", deep, "--out", tmp_path / "x"]}[flag]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(deep) in err
+
+
+def test_a_node_count_beyond_int64_pair_keys_is_an_input_error(tmp_path, capsys):
+    data = tmp_path / "huge.tsv"
+    data.write_text("# n=99999999999999999999999\n")
+    assert run_cli(["features", "--data", data, "--features", "link_density"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "99999999999999999999999" in err
+
+
+@pytest.mark.parametrize("where", ["grid_flag", "point_spec", "study_grid"])
+def test_a_fractional_block_count_is_an_input_error(tmp_path, capsys, where):
+    """``fix_grid_point`` pins k as an integer, so a point or grid value of k
+    that is not one would be drawn as another value than the one reported."""
+    if where == "study_grid":
+        study = json.loads(Path(study_config(tmp_path, n=30, samples=5)).read_text())
+        study["candidates"][1]["spec"]["k"] = {"grid": {"values": [2.5, 3.5]}}
+        argv = ["simulate", "--config", write_json(tmp_path / "s.json", study)]
+    else:
+        k = {"point": 2.5} if where == "point_spec" else 3
+        argv = ["generate", "--model", write_json(tmp_path / "m.json", dict(SBM, k=k)),
+                "--out", tmp_path / "x"]
+        argv += ["--grid", "k:2.5"] if where == "grid_flag" else []
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "block count" in err and "2.5" in err
+
+
 def test_missing_file_is_config_error():
     assert run_cli(["features", "--data", "/nonexistent/file.tsv",
                     "--features", "link_density"]) == 2

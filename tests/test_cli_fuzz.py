@@ -44,6 +44,7 @@ GRAPHS = {
     "labels": "alice\tbob\nbob\tcarol\ncarol\tdave\n",
     "garbage": "x y z\n",
     "self_loop": "# n=2\n1\t1\n",
+    "huge_n": "# n=99999999999999999999999\n",  # too many nodes for int64 pair keys
 }
 STUDY = {
     "n_samples": 4, "seed": 1,
@@ -112,7 +113,7 @@ KEYS = {
     "model2": (good_spec, st.one_of(good_spec, choice(SPECS["er"], SPECS["sbm"])),
                bad_spec, choice(5, [], SPECS["no_n"])),
     "data": (files("er.tsv", "labels.tsv", "edgeless.tsv"), files("er.tsv"),
-             files("garbage.tsv", "self_loop.tsv", "missing.tsv"), choice(7, ["@er.tsv"])),
+             files("garbage.tsv", "self_loop.tsv", "huge_n.tsv", "missing.tsv"), choice(7, ["@er.tsv"])),
     "features": (good_features,
                  st.one_of(good_features, good_features.map(lambda f: f.split(","))),
                  choice("bogus", "link_density,bogus", ""),

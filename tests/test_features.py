@@ -17,19 +17,16 @@ from netselect import (
     count_triangles,
     degree_entropy,
     diameter,
-    equal_blocks,
     estimate_block_count,
     extract_feature,
-    fit_power_law_mle,
     generate_er,
-    generate_sbm,
     global_clustering,
     link_density,
     power_law_mle,
     sample_graph,
     shortest_path_distances,
 )
-from netselect import PointPrior, PowerLaw, features
+from netselect import PointPrior, PowerLaw, Sbm, features
 from netselect.features import bethe_hessian
 from test_graph_csr import assert_columns_match, oracle_sets
 
@@ -151,12 +148,13 @@ def test_mle_closed_form():
 
 def test_mle_all_values_at_dmin():
     g = build_graph(2, [(0, 1)])  # both degrees equal d_min = 1
-    assert fit_power_law_mle(g, 1) == pytest.approx(1 + 1 / math.log(2))
+    assert extract_feature(g, FeatureKind("power_law_exponent", d_min=1)) == pytest.approx(
+        1 + 1 / math.log(2))
 
 
 def test_mle_undefined_on_empty_graph():
     with pytest.raises(UndefinedFeature):
-        fit_power_law_mle(build_graph(3, []), 1)
+        extract_feature(build_graph(3, []), FeatureKind("power_law_exponent", d_min=1))
 
 
 def _mle_of_float_cast(values, d_min):
@@ -287,11 +285,10 @@ def test_block_count_never_exceeds_kmax():
 
 
 def test_block_count_recovers_planted_partition():
+    planted = Sbm(200, 4, edge_probs=tuple(map(tuple, np.full((4, 4), 0.01) + np.eye(4) * 0.49)))
     hits = 0
     for seed in range(20):
-        g = generate_sbm(200, 4, equal_blocks(200, 4),
-                         np.full((4, 4), 0.01) + np.eye(4) * 0.49,
-                         np.random.default_rng(seed))
+        g = sample_graph(planted, np.random.default_rng(seed))
         hits += estimate_block_count(g, 8) == 4
     assert hits >= 19
 

@@ -22,7 +22,6 @@ from netselect import (
     build_graph,
     equal_blocks,
     generate_er,
-    generate_sbm,
     mh_loglinear_sample,
     model_spec_to_json,
     parse_model_spec,
@@ -137,16 +136,14 @@ def test_er_edge_indicators_look_independent():
 # --------------------------------------------------------------------------
 
 def test_sbm_disjoint_cliques():
-    z = equal_blocks(6, 2)
-    probs = [[1.0, 0.0], [0.0, 1.0]]
-    g = generate_sbm(6, 2, z, probs, np.random.default_rng(0))
+    g = sample_graph(Sbm(6, 2, edge_probs=((1.0, 0.0), (0.0, 1.0))), np.random.default_rng(0))
     assert g.edge_count == 6
     assert not any(g.has_edge(u, v) for u in range(3) for v in range(3, 6))
 
 
 def test_sbm_k1_equals_er_draw_for_draw():
     p = 0.37
-    g_sbm = generate_sbm(8, 1, np.zeros(8, dtype=int), [[p]], np.random.default_rng(99))
+    g_sbm = sample_graph(Sbm(8, 1, edge_probs=((p,),)), np.random.default_rng(99))
     g_er = generate_er(8, p, np.random.default_rng(99))
     assert g_sbm == g_er
 
@@ -154,18 +151,17 @@ def test_sbm_k1_equals_er_draw_for_draw():
 def test_sbm_cross_block_edge_mean():
     # 25 cross pairs at p_out=0.2: mean 5.0, 3 SEM = 3 * sqrt(4/1000) ~= 0.19.
     z = equal_blocks(10, 2)
-    probs = [[0.5, 0.2], [0.2, 0.5]]
+    spec = Sbm(10, 2, edge_probs=((0.5, 0.2), (0.2, 0.5)))
     crossings = []
     for seed in range(1000):
-        g = generate_sbm(10, 2, z, probs, np.random.default_rng(seed))
+        g = sample_graph(spec, np.random.default_rng(seed))
         crossings.append(sum(1 for u, v in g.edges() if z[u] != z[v]))
     assert abs(np.mean(crossings) - 5.0) < 0.19
 
 
 def test_sbm_rejects_asymmetric_probs():
     with pytest.raises(InvalidSpec):
-        generate_sbm(4, 2, equal_blocks(4, 2), [[0.5, 0.1], [0.2, 0.5]],
-                     np.random.default_rng(0))
+        Sbm(4, 2, edge_probs=((0.5, 0.1), (0.2, 0.5)))
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +271,20 @@ def test_mh_respects_graph_invariants():
                 assert v in sets[w]
 
 
+def _statistic(term, g) -> int:
+    """f(G) of a concordance term, recounted from ``g``'s neighbour sets; triangles
+    over all node triples."""
+    nbrs = adjacency_sets(g)
+    if isinstance(term, EdgeCountTerm):
+        return sum(map(len, nbrs)) // 2
+    if isinstance(term, TriangleCountTerm):
+        return sum(b in nbrs[a] and c in nbrs[a] and c in nbrs[b]
+                   for a, b, c in itertools.combinations(range(g.node_count), 3))
+    if isinstance(term, DegreeCountTerm):
+        return sum(len(s) == term.degree for s in nbrs)
+    return int(term.v in nbrs[term.u])
+
+
 def test_concordance_deltas_match_recompute():
     rng = np.random.default_rng(9)
     terms = [EdgeCountTerm(), TriangleCountTerm(), DegreeCountTerm(2),
@@ -289,7 +299,7 @@ def test_concordance_deltas_match_recompute():
         stats = (sign, len(nbrs[u] & nbrs[v]), int(g.degrees[u]), int(g.degrees[v]), u, v)
         for term in terms:
             assert term.delta(*stats) == pytest.approx(
-                term.value(toggled) - term.value(g))
+                _statistic(term, toggled) - _statistic(term, g))
         g = toggled
 
 

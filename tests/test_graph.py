@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netselect.graph as graph_module
 from netselect import (
     InvalidEdge,
     InvalidNode,
@@ -46,6 +47,16 @@ def test_build_rejects_self_loop():
 def test_build_rejects_out_of_range():
     with pytest.raises(InvalidNode):
         build_graph(2, [(0, 2)])
+
+
+def test_build_rejects_a_node_count_whose_pair_keys_overflow_int64(monkeypatch):
+    bound = 3_037_000_500  # the largest n whose largest key n(n-1) - 1 fits int64
+    assert bound * (bound - 1) - 1 <= 2 ** 63 - 1 < (bound + 1) * bound - 1
+    # Building the Graph would allocate n degrees (24 GB at bound + 1): fail instead.
+    monkeypatch.setattr(graph_module, "Graph", lambda *a: pytest.fail("graph was built"))
+    for n in (bound + 1, 10 ** 23):
+        with pytest.raises(InvalidNode, match=str(n)):
+            build_graph(n, [(0, 1)])
 
 
 def test_toggle_adds_edge():

@@ -20,7 +20,6 @@ from netselect import (
     build_graph,
     connected_components,
     count_triangles,
-    generate_sbm,
     read_edge_list,
     sample_graph,
     sample_parameter,
@@ -266,8 +265,8 @@ def test_cached_block_probabilities_give_the_uncached_draws(monkeypatch):
         k = int(sample_parameter(spec.k, rng))
         mat = np.full((k, k), 0.05)
         np.fill_diagonal(mat, 0.4)
-        fresh.append(generators.generate_sbm(
-            60, k, generators.equal_blocks(60, k), mat, rng))
+        z = generators.equal_blocks(60, k)
+        fresh.append(_sample_pair_graph(60, lambda iu, ju: mat[z[iu], z[ju]], rng))
     assert cached == fresh
     assert generators._PAIR_PROB_CACHE == {}  # no key, nothing cached
 
@@ -297,14 +296,15 @@ def fixed_block_specs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(fixed_block_specs(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
-def test_cache_hit_block_draws_equal_uncached_and_generate_sbm_draws(case, seeds):
+def test_cache_hit_block_draws_equal_uncached_and_pair_graph_draws(case, seeds):
     spec, k, labels, mat = case
     hits = [sample_graph(spec, np.random.default_rng(s)) for s in seeds + seeds]
     uncached = []
     for s in seeds + seeds:
         generators._PAIR_PROB_CACHE.clear()
         uncached.append(sample_graph(spec, np.random.default_rng(s)))
-    direct = [generate_sbm(spec.n, k, labels, mat, np.random.default_rng(s))
+    direct = [_sample_pair_graph(spec.n, lambda iu, ju: mat[labels[iu], labels[ju]],
+                                 np.random.default_rng(s))
               for s in seeds + seeds]
     assert hits == uncached == direct
 

@@ -164,7 +164,7 @@ def test_kde_evidence_integrates_to_one():
     density = estimate_density(continuous_samples(values))
     h = density.bandwidth
     xs = np.linspace(values.min() - 6 * h, values.max() + 6 * h, 4001)
-    ys = [density.evaluate(x) for x in xs]
+    ys = [evidence(density, x) for x in xs]
     assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -206,7 +206,7 @@ def test_pmf_log_density_is_the_log_of_the_smoothed_mass(draws, xs):
     expected = [math.log((counts[x] + 0.5) / (len(draws) + 0.5 * (len(counts) + (x not in counts))))
                 for x in xs]
     assert pmf.log_density(xs).tolist() == expected
-    assert [pmf.evaluate(x) for x in xs] == [math.exp(e) for e in expected]
+    assert [evidence(pmf, x) for x in xs] == [math.exp(e) for e in expected]
 
 
 def test_log_evidences_raise_only_for_a_feature_that_vanishes_under_every_point():

@@ -10,6 +10,9 @@
   its own definition, or is wrapped by the benchmark's tracer, or is library
   API on the short list below, so a function only its tests call does not
   linger in ``src``;
+* every method or property of a class in ``src`` (dunders aside) is read by
+  name in the package besides its own definition, or is on the short list
+  below, so a method only tests call does not linger either;
 * ``Graph`` holds only its edge arrays and what is derived from them at once,
   so a kernel's structure is not cached on every graph unnoticed;
 * ``cli._write_output`` is the only function that opens a file for writing,
@@ -106,7 +109,6 @@ def test_every_name_the_benchmark_tracer_wraps_resolves_and_is_restored():
 LIBRARY_API = {
     "bayes_factor",  # the evidence ratio of the criteria and the inference tests
     "consensus_merge",  # the per-shard draw merge of a criterion
-    "generate_sbm",  # the block-model draw of a given membership, for the criteria
     "report_from_json",  # the reader of the report JSON that compare writes
 }
 
@@ -126,6 +128,23 @@ def test_every_exported_name_is_used_in_the_package_wrapped_or_library_api():
     tracer.uninstall()
     assert sorted(name for name in exported
                   if uses[name] <= 0 and name not in wrapped | LIBRARY_API) == []
+
+
+#: Methods that nothing in ``src`` reads, kept as library API.
+UNREAD_METHODS = {
+    "Graph.has_edge",  # the edge test of library callers and of the tests
+}
+
+
+def test_every_method_is_read_in_the_package_or_library_api():
+    trees = _trees()
+    uses = sum((_uses(t) for t in trees.values()), Counter())
+    unread = {f"{cls.name}.{fn.name}" for tree in trees.values() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for fn in cls.body
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and uses[fn.name] == _uses(fn)[fn.name]}  # reads outside the definition
+    assert unread == UNREAD_METHODS
 
 
 def test_graph_holds_only_its_edge_arrays_degrees_and_triangle_memo():
